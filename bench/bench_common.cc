@@ -325,53 +325,23 @@ requireNoCheckpoint(const Options &opt, const char *bench)
 namespace {
 
 /**
- * Per-benchmark serializers for the host-side dynamic state the
- * accelerator's commit lambdas mutate (union-find arrays, the mesh,
- * the LU matrix, produced-successor maps). Benchmarks whose state
- * lives entirely in device memory keep the empty defaults: the
- * host.state section is written with an empty payload so the file
- * layout is uniform across benchmarks.
+ * The host-side dynamic state the accelerator's commit lambdas mutate
+ * (union-find arrays, the mesh, the LU matrix, produced-successor
+ * maps), written once as a generic `[](auto &ar)` field list that
+ * serves both archives. Benchmarks whose state lives entirely in
+ * device memory keep the empty default: the host.state section is
+ * written with an empty payload so the file layout is uniform across
+ * benchmarks.
  */
 struct HostState
 {
+    HostState() = default;
+    template <typename Fn>
+    explicit HostState(Fn fn) : save(fn), restore(fn) {}
+
     std::function<void(ckpt::Writer &)> save = [](ckpt::Writer &) {};
     std::function<void(ckpt::Reader &)> restore = [](ckpt::Reader &) {};
 };
-
-/**
- * Serialize a produced-successors map (token serial -> pod vector) in
- * sorted key order so the file bytes are independent of the
- * unordered_map's iteration order.
- */
-template <typename V>
-void
-saveProduced(ckpt::Writer &w,
-             const std::unordered_map<uint64_t, std::vector<V>> &m)
-{
-    std::vector<uint64_t> keys;
-    keys.reserve(m.size());
-    for (const auto &[serial, vec] : m)
-        keys.push_back(serial);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (uint64_t k : keys) {
-        w.u64(k);
-        w.vecPod(m.at(k));
-    }
-}
-
-template <typename V>
-void
-restoreProduced(ckpt::Reader &r,
-                std::unordered_map<uint64_t, std::vector<V>> &m)
-{
-    m.clear();
-    uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n; ++i) {
-        uint64_t k = r.u64();
-        m[k] = r.vecPod<V>();
-    }
-}
 
 /**
  * Attach the checkpoint directives to a freshly built machine: restore
@@ -534,20 +504,15 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
       case Bench::SpecMst: {
         auto app = buildSpecMst(w.road, mem);
         Accelerator accel(app.spec, cfg, mem);
-        HostState host;
         MstState *st = app.state.get();
-        host.save = [st](ckpt::Writer &wtr) {
-            wtr.vecPod(st->parent);
-            wtr.u64(st->nextTicket);
-            wtr.u64(st->result.totalWeight);
-            wtr.u64(st->result.edgesInTree);
-        };
-        host.restore = [st](ckpt::Reader &r) {
-            st->parent = r.vecPod<uint32_t>();
-            st->nextTicket = r.u64();
-            st->result.totalWeight = r.u64();
-            st->result.edgesInTree = r.u64();
-        };
+        HostState host([st]<typename Ar>(Ar &ar) {
+            ar.fixed(st->parent, "MST union-find entries");
+            for (uint32_t p : st->parent)
+                ar.check(p < st->parent.size(), "has MST parent ", p,
+                         " outside ", st->parent.size(), " vertices");
+            ar(st->nextTicket, st->result.totalWeight,
+               st->result.edgesInTree);
+        });
         wireCheckpoint(accel, cfg, b, w, ck, host);
         out.rr = accel.run();
         if (verify) {
@@ -576,41 +541,39 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
         Mesh mesh = randomDelaunayMesh(w.meshPoints, w.seed);
         auto app = buildSpecDmr(std::move(mesh), params, mem);
         Accelerator accel(app.spec, cfg, mem);
-        HostState host;
         DmrState *st = app.state.get();
-        // Triangles are serialized field-wise: the struct has padding
-        // after its bool, and padding bytes in the file would make the
-        // byte-identity contract depend on uninitialized memory.
-        host.save = [st](ckpt::Writer &wtr) {
-            wtr.vecPod(st->mesh.points());
-            const auto &tris = st->mesh.triangles();
-            wtr.u64(tris.size());
+        HostState host([st]<typename Ar>(Ar &ar) {
+            // The mesh exposes its topology read-only; a restore
+            // installs it through restoreTopology().
+            std::vector<Point> points = st->mesh.points();
+            std::vector<Triangle> tris = st->mesh.triangles();
+            ar(points);
+            // Triangles are serialized field-wise: the struct has
+            // padding after its bool, and padding bytes in the file
+            // would make the byte-identity contract depend on
+            // uninitialized memory.
+            ar.seq(tris, [&ar](auto &t) {
+                ar(t.v[0], t.v[1], t.v[2], t.nbr[0], t.nbr[1], t.nbr[2],
+                   t.alive);
+            });
             for (const Triangle &t : tris) {
-                for (int k = 0; k < 3; ++k)
-                    wtr.u32(t.v[k]);
-                for (int k = 0; k < 3; ++k)
-                    wtr.u32(t.nbr[k]);
-                wtr.b(t.alive);
+                for (int k = 0; k < 3; ++k) {
+                    ar.check(t.v[k] < points.size() &&
+                                 (t.nbr[k] < tris.size() ||
+                                  t.nbr[k] == kNoTri),
+                             "has a SPEC-DMR triangle on vertex ", t.v[k],
+                             " next to triangle ", t.nbr[k], ", outside ",
+                             points.size(), " points and ", tris.size(),
+                             " triangles");
+                }
             }
-            wtr.u64(st->applied);
-            saveProduced(wtr, st->produced);
-        };
-        host.restore = [st](ckpt::Reader &r) {
-            auto points = r.vecPod<Point>();
-            uint64_t n = r.u64();
-            std::vector<Triangle> tris(n);
-            for (Triangle &t : tris) {
-                for (int k = 0; k < 3; ++k)
-                    t.v[k] = r.u32();
-                for (int k = 0; k < 3; ++k)
-                    t.nbr[k] = r.u32();
-                t.alive = r.b();
-            }
-            st->mesh.restoreTopology(std::move(points),
-                                     std::move(tris));
-            st->applied = r.u64();
-            restoreProduced(r, st->produced);
-        };
+            if constexpr (Ar::kRestoring)
+                st->mesh.restoreTopology(std::move(points),
+                                         std::move(tris));
+            // ar.seq writes hash maps in key order: deterministic bytes.
+            ar(st->applied);
+            ar.seq(st->produced);
+        });
         wireCheckpoint(accel, cfg, b, w, ck, host);
         out.rr = accel.run();
         if (verify) {
@@ -637,52 +600,31 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
         BlockSparseMatrix ref = a;
         auto app = buildCoorLu(std::move(a), mem);
         Accelerator accel(app.spec, cfg, mem);
-        HostState host;
         LuState *st = app.state.get();
-        host.save = [st](ckpt::Writer &wtr) {
-            const BlockSparseMatrix &m = st->a;
-            wtr.u32(m.numBlockRows());
-            wtr.u32(m.blockSize());
+        HostState host([st]<typename Ar>(Ar &ar) {
+            BlockSparseMatrix &m = st->a;
+            uint32_t n = m.numBlockRows();
+            ar.expect(n, "LU block rows");
+            ar.expect(m.blockSize(), "LU block size");
             auto coords = m.structure(); // row-major (sorted) order
-            wtr.u64(coords.size());
-            for (auto [i, j] : coords) {
-                wtr.u32(i);
-                wtr.u32(j);
-                wtr.vecPod(m.block(i, j).data());
-            }
-            wtr.vecPod(st->trsmLeft);
-            wtr.vecPod(st->gemmLeft);
-            wtr.u64(st->ops.factor);
-            wtr.u64(st->ops.trsm);
-            wtr.u64(st->ops.gemm);
-            saveProduced(wtr, st->produced);
-        };
-        host.restore = [st](ckpt::Reader &r) {
-            uint32_t n = r.u32();
-            uint32_t bsize = r.u32();
-            if (n != st->a.numBlockRows() ||
-                bsize != st->a.blockSize())
-                fatal("checkpoint: saved LU matrix is ", n, "x", n,
-                      " blocks of ", bsize, ", rebuilt matrix is ",
-                      st->a.numBlockRows(), "x", st->a.numBlockRows(),
-                      " blocks of ", st->a.blockSize());
-            // Fill-in blocks appear dynamically; rebuild the block set
-            // from scratch rather than patching the generator's.
-            BlockSparseMatrix fresh(n, bsize);
-            uint64_t count = r.u64();
-            for (uint64_t k = 0; k < count; ++k) {
-                uint32_t i = r.u32();
-                uint32_t j = r.u32();
-                fresh.block(i, j).data() = r.vecPod<double>();
-            }
-            st->a = std::move(fresh);
-            st->trsmLeft = r.vecPod<uint32_t>();
-            st->gemmLeft = r.vecPod<uint32_t>();
-            st->ops.factor = r.u64();
-            st->ops.trsm = r.u64();
-            st->ops.gemm = r.u64();
-            restoreProduced(r, st->produced);
-        };
+            // Fill-in blocks appear dynamically; a restore rebuilds the
+            // block set from scratch rather than patching the
+            // generator's.
+            if constexpr (Ar::kRestoring)
+                m = BlockSparseMatrix(n, m.blockSize());
+            ar.seq(coords, [&](auto &c) {
+                ar(c.first, c.second);
+                ar.check(c.first < n && c.second < n, "has LU block (",
+                         c.first, ",", c.second, ") outside the ", n,
+                         "x", n, " block grid");
+                ar.fixed(m.block(c.first, c.second).data(),
+                         "values in an LU block");
+            });
+            ar.fixed(st->trsmLeft, "LU trsm counters");
+            ar.fixed(st->gemmLeft, "LU gemm counters");
+            ar(st->ops.factor, st->ops.trsm, st->ops.gemm);
+            ar.seq(st->produced);
+        });
         wireCheckpoint(accel, cfg, b, w, ck, host);
         out.rr = accel.run();
         if (verify) {

@@ -95,10 +95,10 @@ Reader::Reader(const std::string &path) : path_(path)
 }
 
 void
-Reader::checkAvail(uint64_t n, const char *what) const
+Reader::checkAvail(uint64_t count, size_t size, const char *what) const
 {
     size_t limit = inSection_ ? sectionEnd_ : buf_.size();
-    if (n > limit - pos_) {
+    if (count > (limit - pos_) / size) {
         fatal("checkpoint: '", path_, "' truncated reading ", what,
               inSection_ ? " in section '" : "",
               inSection_ ? openSection_.c_str() : "",
@@ -107,10 +107,20 @@ Reader::checkAvail(uint64_t n, const char *what) const
 }
 
 void
+Reader::mismatch(std::string_view what, uint64_t saved,
+                 uint64_t built) const
+{
+    fatal("checkpoint: '", path_, "' has ", saved, " ", what,
+          ", this machine has ", built,
+          " — restore requires the same structural config");
+}
+
+void
 Reader::raw(void *p, size_t n)
 {
-    checkAvail(n, "value");
-    std::memcpy(p, &buf_[pos_], n);
+    checkAvail(n, 1, "value");
+    if (n)
+        std::memcpy(p, buf_.data() + pos_, n);
     pos_ += n;
 }
 

@@ -19,13 +19,18 @@
 #ifndef APIR_CHECKPOINT_CKPT_HH
 #define APIR_CHECKPOINT_CKPT_HH
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "support/stats.hh"
+#include "support/logging.hh"
 
 namespace apir {
 namespace ckpt {
@@ -33,10 +38,53 @@ namespace ckpt {
 /** Current checkpoint format version. Bump on any layout change. */
 inline constexpr uint32_t kVersion = 1;
 
+namespace detail {
+
+/** A map element with a mutable key, so a restore can fill it in. */
+template <typename T> struct Mutable { using type = T; };
+template <typename K, typename V>
+struct Mutable<std::pair<const K, V>> { using type = std::pair<K, V>; };
+
+/** Types that spell their own field list in `serialize(Ar &)`. */
+template <typename T, typename Ar>
+concept Serializable = requires(T &t, Ar &ar) { t.serialize(ar); };
+
+/** Other trivially copyable structs are bit-copied, like pod(). */
+template <typename T, typename Ar>
+concept PodStruct = std::is_class_v<T> && std::is_trivially_copyable_v<T> &&
+                    !Serializable<T, Ar>;
+
+} // namespace detail
+
+/*
+ * Writer and Reader are the two archives a component's
+ * `template <class Ar> void serialize(Ar &ar)` runs against (the gem5
+ * and cereal idiom): the field list is written once and each call
+ * below means "save" on a Writer and "restore" on a Reader.
+ *
+ *   ar(a, b, c)           one call per field; the C++ type picks the
+ *                         wire encoding: uint8_t/uint32_t/uint64_t/
+ *                         double/bool, std::string, a pod vector,
+ *                         pair, optional, a type with its own
+ *                         serialize(), or a trivially copyable struct.
+ *                         Other integer types do not compile.
+ *   ar.expect(v, what)    a structural fact of the built machine:
+ *                         written on save, compared on restore.
+ *   ar.fixed(vec, what)   a pod vector whose length the machine fixes:
+ *                         bytes as ar(vec), restored in place.
+ *   ar.seq(c, fn)         length-prefixed container, `fn(element)`
+ *                         per element (default: ar(element)); hash
+ *                         maps go in key order.
+ *   ar.check(ok, msg...)  restore-time validation of a saved value.
+ *   Ar::kRestoring        for the few post-restore fix-ups.
+ */
+
 /** Serializes state into an in-memory buffer, then writes the file. */
 class Writer
 {
   public:
+    static constexpr bool kRestoring = false;
+
     /** Open a named section; sections must not nest. */
     void begin(const std::string &name);
     /** Close the current section, patching its length prefix. */
@@ -70,9 +118,41 @@ class Writer
     void
     vecPod(const std::vector<T> &v)
     {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "vecPod() requires a trivially copyable type");
         u64(v.size());
-        for (const T &e : v)
-            pod(e);
+        raw(v.data(), v.size() * sizeof(T));
+    }
+
+    template <typename... Ts>
+    void operator()(const Ts &...vs) { (field(vs), ...); }
+    template <std::unsigned_integral T>
+    void expect(const T &v, std::string_view) { field(v); }
+    template <typename T>
+    void fixed(const std::vector<T> &v, std::string_view) { vecPod(v); }
+    template <typename... Ms>
+    void check(bool, const Ms &...) {}
+
+    template <typename C>
+    void seq(const C &c) { seq(c, [this](const auto &e) { field(e); }); }
+    template <typename C, typename Fn>
+    void
+    seq(const C &c, Fn &&fn)
+    {
+        u64(c.size());
+        if constexpr (requires { typename C::hasher; }) {
+            std::vector<const typename C::value_type *> byKey;
+            byKey.reserve(c.size());
+            for (const auto &e : c)
+                byKey.push_back(&e);
+            std::sort(byKey.begin(), byKey.end(),
+                      [](auto *x, auto *y) { return x->first < y->first; });
+            for (const auto *e : byKey)
+                fn(*e);
+        } else {
+            for (const auto &e : c)
+                fn(e);
+        }
     }
 
     /** Write magic + version + all sections to `path` (fatal on I/O). */
@@ -80,6 +160,35 @@ class Writer
 
   private:
     void raw(const void *p, size_t n);
+
+    void field(uint8_t v) { u8(v); }
+    void field(uint32_t v) { u32(v); }
+    void field(uint64_t v) { u64(v); }
+    void field(double v) { f64(v); }
+    void field(bool v) { b(v); }
+    void field(const std::string &s) { str(s); }
+
+    template <typename T>
+    void field(const std::vector<T> &v) { vecPod(v); }
+    template <typename A, typename B>
+    void field(const std::pair<A, B> &p) { field(p.first); field(p.second); }
+
+    template <typename T>
+    void
+    field(const std::optional<T> &o)
+    {
+        b(o.has_value());
+        if (o)
+            field(*o);
+    }
+
+    // Saving only reads the fields serialize() names.
+    template <typename T>
+        requires detail::Serializable<T, Writer>
+    void field(const T &v) { const_cast<T &>(v).serialize(*this); }
+    template <typename T>
+        requires detail::PodStruct<T, Writer>
+    void field(const T &v) { pod(v); }
 
     std::vector<uint8_t> buf_;
     size_t lenPatchAt_ = ~size_t(0); //!< offset of open section's length
@@ -90,6 +199,8 @@ class Writer
 class Reader
 {
   public:
+    static constexpr bool kRestoring = true;
+
     /** Load + validate magic and version (located fatals). */
     explicit Reader(const std::string &path);
 
@@ -112,8 +223,8 @@ class Reader
     str()
     {
         uint64_t n = u64();
-        checkAvail(n, "string payload");
-        std::string s(reinterpret_cast<const char *>(&buf_[pos_]),
+        checkAvail(n, 1, "string payload");
+        std::string s(reinterpret_cast<const char *>(buf_.data() + pos_),
                       static_cast<size_t>(n));
         pos_ += static_cast<size_t>(n);
         return s;
@@ -134,13 +245,67 @@ class Reader
     std::vector<T>
     vecPod()
     {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "vecPod() requires a trivially copyable type");
         uint64_t n = u64();
-        checkAvail(n * sizeof(T), "vector payload");
-        std::vector<T> v;
-        v.reserve(static_cast<size_t>(n));
-        for (uint64_t i = 0; i < n; ++i)
-            v.push_back(pod<T>());
+        // Checked as a count: `n * sizeof(T)` can wrap for a corrupt n.
+        checkAvail(n, sizeof(T), "vector payload");
+        std::vector<T> v(static_cast<size_t>(n));
+        raw(v.data(), v.size() * sizeof(T));
         return v;
+    }
+
+    template <typename... Ts>
+    void operator()(Ts &...vs) { (field(vs), ...); }
+
+    template <std::unsigned_integral T>
+    void
+    expect(const T &built, std::string_view what)
+    {
+        T saved{};
+        field(saved);
+        if (saved != built)
+            mismatch(what, saved, built);
+    }
+
+    template <typename T>
+    void
+    fixed(std::vector<T> &v, std::string_view what)
+    {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "fixed() requires a trivially copyable type");
+        expect(v.size(), what);
+        raw(v.data(), v.size() * sizeof(T));
+    }
+
+    template <typename C>
+    void seq(C &c) { seq(c, [this](auto &e) { field(e); }); }
+    template <typename C, typename Fn>
+    void
+    seq(C &c, Fn &&fn)
+    {
+        uint64_t n = u64();
+        // Every element takes at least one byte: bound the loop by
+        // the payload left before trusting a corrupt count.
+        checkAvail(n, 1, "sequence");
+        c.clear();
+        for (uint64_t i = 0; i < n; ++i) {
+            if constexpr (requires { c.emplace_back(); }) {
+                fn(c.emplace_back());
+            } else {
+                typename detail::Mutable<typename C::value_type>::type e{};
+                fn(e);
+                c.emplace_hint(c.end(), std::move(e));
+            }
+        }
+    }
+
+    template <typename... Ms>
+    void
+    check(bool ok, const Ms &...msg)
+    {
+        if (!ok)
+            fatal("checkpoint: '", path_, "' ", msg...);
     }
 
     /** True once every section has been fully consumed. */
@@ -149,7 +314,39 @@ class Reader
 
   private:
     void raw(void *p, size_t n);
-    void checkAvail(uint64_t n, const char *what) const;
+    /** Fatal unless `count` elements of `size` bytes remain. */
+    void checkAvail(uint64_t count, size_t size, const char *what) const;
+    [[noreturn]] void mismatch(std::string_view what, uint64_t saved,
+                               uint64_t built) const;
+
+    void field(uint8_t &v) { v = u8(); }
+    void field(uint32_t &v) { v = u32(); }
+    void field(uint64_t &v) { v = u64(); }
+    void field(double &v) { v = f64(); }
+    void field(bool &v) { v = b(); }
+    void field(std::string &s) { s = str(); }
+
+    template <typename T>
+    void field(std::vector<T> &v) { v = vecPod<T>(); }
+    template <typename A, typename B>
+    void field(std::pair<A, B> &p) { field(p.first); field(p.second); }
+
+    template <typename T>
+    void
+    field(std::optional<T> &o)
+    {
+        o.reset();
+        if (b())
+            field(o.emplace());
+    }
+
+    template <typename T>
+        requires detail::Serializable<T, Reader>
+    void field(T &v) { v.serialize(*this); }
+    // In place, padding included: a re-save then reproduces the file.
+    template <typename T>
+        requires detail::PodStruct<T, Reader>
+    void field(T &v) { raw(&v, sizeof(T)); }
 
     std::string path_;
     std::vector<uint8_t> buf_;
@@ -158,60 +355,6 @@ class Reader
     std::string openSection_;
     bool inSection_ = false;
 };
-
-/* Stat-object helpers: exact bit-level round trips so restored stats
- * print byte-identically. */
-
-inline void
-save(Writer &w, const Counter &c)
-{
-    w.u64(c.value());
-}
-
-inline void
-restore(Reader &r, Counter &c)
-{
-    c.restore(r.u64());
-}
-
-inline void
-save(Writer &w, const Average &a)
-{
-    w.f64(a.sum());
-    w.f64(a.rawMin());
-    w.f64(a.rawMax());
-    w.u64(a.count());
-}
-
-inline void
-restore(Reader &r, Average &a)
-{
-    double sum = r.f64();
-    double min = r.f64();
-    double max = r.f64();
-    a.restore(sum, min, max, r.u64());
-}
-
-inline void
-save(Writer &w, const Histogram &h)
-{
-    std::vector<uint64_t> counts(h.buckets());
-    for (size_t i = 0; i < h.buckets(); ++i)
-        counts[i] = h.bucket(i);
-    w.vecPod(counts);
-    w.u64(h.overflow());
-    w.u64(h.total());
-    w.f64(h.maxSeen());
-}
-
-inline void
-restore(Reader &r, Histogram &h)
-{
-    auto counts = r.vecPod<uint64_t>();
-    uint64_t overflow = r.u64();
-    uint64_t total = r.u64();
-    h.restore(std::move(counts), overflow, total, r.f64());
-}
 
 } // namespace ckpt
 } // namespace apir

@@ -441,56 +441,7 @@ Accelerator::scheduleCheckpointSave(uint64_t cycle,
 void
 Accelerator::ckptSave(ckpt::Writer &w) const
 {
-    w.begin("accel.core");
-    w.u64(cycle_);
-    w.u64(busyStageCycles_);
-    w.u64(serial_);
-    w.u64(hostPos_);
-    w.u64(lastProgressCycle_);
-    w.u64(sampledBusyCycles_);
-    w.end();
-
-    w.begin("accel.tracker");
-    tracker_.ckptSave(w);
-    w.end();
-
-    w.begin("accel.liveness");
-    liveness_->ckptSave(w);
-    w.end();
-
-    w.begin("accel.engines");
-    w.u64(engines_.size());
-    for (const auto &e : engines_)
-        e->ckptSave(w);
-    w.end();
-
-    w.begin("accel.queues");
-    w.u64(queues_.size());
-    for (const auto &q : queues_)
-        q->ckptSave(w);
-    w.end();
-
-    w.begin("accel.fifos");
-    w.u64(fifos_.size());
-    for (const auto &f : fifos_)
-        f->ckptSave(w);
-    w.end();
-
-    w.begin("accel.rdv");
-    w.u64(rdvGroups_.size());
-    for (const auto &g : rdvGroups_)
-        g->ckptSave(w);
-    w.end();
-
-    w.begin("accel.stages");
-    w.u64(stages_.size());
-    for (const auto &s : stages_)
-        s->ckptSave(w);
-    w.end();
-
-    w.begin("mem.sys");
-    mem_.ckptSave(w);
-    w.end();
+    const_cast<Accelerator *>(this)->serialize(w);
 }
 
 void
@@ -503,70 +454,46 @@ Accelerator::ckptRestore(ckpt::Reader &r)
               "would silently omit them; run the tracer on an "
               "uninterrupted run instead");
     }
+    serialize(r);
+    restored_ = true;
+}
 
-    r.begin("accel.core");
-    cycle_ = r.u64();
-    busyStageCycles_ = r.u64();
-    serial_ = r.u64();
-    hostPos_ = r.u64();
-    lastProgressCycle_ = r.u64();
-    sampledBusyCycles_ = r.u64();
-    r.end();
+template <typename Ar>
+void
+Accelerator::serialize(Ar &ar)
+{
+    ar.begin("accel.core");
+    ar(cycle_, busyStageCycles_, serial_, hostPos_, lastProgressCycle_,
+       sampledBusyCycles_);
+    ar.end();
 
-    r.begin("accel.tracker");
-    tracker_.ckptRestore(r);
-    r.end();
+    ar.begin("accel.tracker");
+    ar(tracker_);
+    ar.end();
 
     // Field-direct restore: LivenessUnit::refreshOwner() would call
     // mem_.unpinAll() and wipe the pinned lines restored below.
-    r.begin("accel.liveness");
-    liveness_->ckptRestore(r);
-    r.end();
+    ar.begin("accel.liveness");
+    ar(*liveness_);
+    ar.end();
 
-    auto checkCount = [&r](uint64_t saved, size_t built,
-                           const char *what) {
-        if (saved != built) {
-            fatal("checkpoint: '", r.path(), "' has ", saved, " ",
-                  what, ", this machine has ", built,
-                  " — restore requires the same structural config");
-        }
+    auto components = [&ar](const char *section, auto &parts,
+                            const char *what) {
+        ar.begin(section);
+        ar.expect(parts.size(), what);
+        for (auto &p : parts)
+            ar(*p);
+        ar.end();
     };
+    components("accel.engines", engines_, "rule engines");
+    components("accel.queues", queues_, "task queues");
+    components("accel.fifos", fifos_, "pipeline FIFOs");
+    components("accel.rdv", rdvGroups_, "rendezvous groups");
+    components("accel.stages", stages_, "stages");
 
-    r.begin("accel.engines");
-    checkCount(r.u64(), engines_.size(), "rule engines");
-    for (auto &e : engines_)
-        e->ckptRestore(r);
-    r.end();
-
-    r.begin("accel.queues");
-    checkCount(r.u64(), queues_.size(), "task queues");
-    for (auto &q : queues_)
-        q->ckptRestore(r);
-    r.end();
-
-    r.begin("accel.fifos");
-    checkCount(r.u64(), fifos_.size(), "pipeline FIFOs");
-    for (auto &f : fifos_)
-        f->ckptRestore(r);
-    r.end();
-
-    r.begin("accel.rdv");
-    checkCount(r.u64(), rdvGroups_.size(), "rendezvous groups");
-    for (auto &g : rdvGroups_)
-        g->ckptRestore(r);
-    r.end();
-
-    r.begin("accel.stages");
-    checkCount(r.u64(), stages_.size(), "stages");
-    for (auto &s : stages_)
-        s->ckptRestore(r);
-    r.end();
-
-    r.begin("mem.sys");
-    mem_.ckptRestore(r);
-    r.end();
-
-    restored_ = true;
+    ar.begin("mem.sys");
+    ar(mem_);
+    ar.end();
 }
 
 } // namespace apir

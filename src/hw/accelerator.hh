@@ -128,6 +128,10 @@ class Accelerator
     void ckptRestore(ckpt::Reader &r);
 
   private:
+    /** The machine-state field list behind ckptSave/ckptRestore. */
+    template <typename Ar>
+    void serialize(Ar &ar);
+
     void buildPipelines();
     void registerStats();
     void hostTick(uint64_t cycle);

@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "checkpoint/ckpt.hh"
 #include "support/logging.hh"
 #include "support/wake.hh"
 
@@ -137,60 +136,32 @@ class SimFifo
     }
 
     /**
-     * Serialize queued items (ring then side deque, FIFO order) with
-     * their visibility cycles. Absolute head_/tail_ counters are not
-     * saved: only their difference is observable, and the restore path
-     * rebuilds a left-justified ring.
+     * Checkpoint field list: queued items (ring then side deque, FIFO
+     * order) with their visibility cycles. Absolute head_/tail_
+     * counters are not saved: only their difference is observable, so
+     * a restore rebuilds a left-justified ring.
      */
+    template <typename Ar>
     void
-    ckptSave(ckpt::Writer &w) const
+    serialize(Ar &ar)
     {
         static_assert(std::is_trivially_copyable_v<T>,
                       "SimFifo checkpointing needs a pod item type");
-        w.u32(capacity_);
-        w.u64(maxOccupancy_);
-        w.u64(tail_ - head_);
-        for (uint64_t i = head_; i != tail_; ++i) {
-            const Slot &s = ring_[i & mask_];
-            w.u64(s.visibleAt);
-            w.pod(s.item);
-        }
-        w.u64(side_.size());
-        for (const auto &[vis, item] : side_) {
-            w.u64(vis);
-            w.pod(item);
-        }
-    }
-
-    /** Overwrite the FIFO's contents from a checkpoint. */
-    void
-    ckptRestore(ckpt::Reader &r)
-    {
-        uint32_t cap = r.u32();
-        if (cap != capacity_) {
-            fatal("checkpoint: FIFO capacity mismatch (saved ", cap,
-                  ", this machine has ", capacity_,
-                  ") — restore requires the same structural config");
-        }
-        maxOccupancy_ = r.u64();
-        ring_.clear();
-        head_ = tail_ = 0;
-        mask_ = 0;
-        uint64_t ringItems = r.u64();
-        for (uint64_t i = 0; i < ringItems; ++i) {
-            if (tail_ - head_ == ring_.size())
+        ar.expect(capacity_, "FIFO slots");
+        uint64_t ringItems = tail_ - head_;
+        ar(maxOccupancy_, ringItems);
+        ar.check(ringItems <= capacity_, "has ", ringItems,
+                 " items in a FIFO of ", capacity_, " slots");
+        if constexpr (Ar::kRestoring) {
+            ring_.clear();
+            head_ = tail_ = mask_ = 0;
+            while (ring_.size() < ringItems)
                 grow();
-            Slot &s = ring_[tail_ & mask_];
-            s.visibleAt = r.u64();
-            s.item = r.template pod<T>();
-            ++tail_;
+            tail_ = ringItems;
         }
-        side_.clear();
-        uint64_t sideItems = r.u64();
-        for (uint64_t i = 0; i < sideItems; ++i) {
-            uint64_t vis = r.u64();
-            side_.emplace_back(vis, r.template pod<T>());
-        }
+        for (uint64_t i = head_; i != tail_; ++i)
+            ar(ring_[i & mask_].visibleAt, ring_[i & mask_].item);
+        ar.seq(side_);
     }
 
   private:

@@ -14,7 +14,6 @@
 #include <set>
 #include <utility>
 
-#include "checkpoint/ckpt.hh"
 #include "core/task.hh"
 #include "support/arena.hh"
 #include "support/logging.hh"
@@ -37,40 +36,6 @@ using HwOrderKey = std::pair<uint64_t, TaskIndex>;
 using HwOrderKeySet =
     std::multiset<HwOrderKey, std::less<HwOrderKey>,
                   ArenaAllocator<HwOrderKey>>;
-
-/* HwOrderKey is a std::pair, which the standard does not guarantee to
- * be trivially copyable — serialize it field-wise. */
-
-inline void
-ckptSaveKey(ckpt::Writer &w, const HwOrderKey &k)
-{
-    w.u64(k.first);
-    w.pod(k.second);
-}
-
-inline HwOrderKey
-ckptReadKey(ckpt::Reader &r)
-{
-    uint64_t first = r.u64();
-    return {first, r.pod<TaskIndex>()};
-}
-
-inline void
-ckptSaveKeySet(ckpt::Writer &w, const HwOrderKeySet &s)
-{
-    w.u64(s.size());
-    for (const HwOrderKey &k : s)
-        ckptSaveKey(w, k);
-}
-
-inline void
-ckptRestoreKeySet(ckpt::Reader &r, HwOrderKeySet &s)
-{
-    s.clear();
-    uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n; ++i)
-        s.insert(ckptReadKey(r));
-}
 
 /** Multiset of the order keys of all live tasks. */
 class LiveKeyTracker
@@ -132,10 +97,9 @@ class LiveKeyTracker
         return false;
     }
 
-    /** Serialize the live-key multiset (docs/checkpointing.md). */
-    void ckptSave(ckpt::Writer &w) const { ckptSaveKeySet(w, keys_); }
-    /** Overwrite the multiset from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r) { ckptRestoreKeySet(r, keys_); }
+    /** Checkpoint field list: the live-key multiset. */
+    template <typename Ar>
+    void serialize(Ar &ar) { ar.seq(keys_); }
 
   private:
     std::function<uint64_t(const SwTask &)> custom_;

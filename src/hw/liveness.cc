@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "checkpoint/ckpt.hh"
 #include "hw/config.hh"
 #include "mem/memsys.hh"
 #include "support/stats_registry.hh"
@@ -104,31 +105,17 @@ LivenessUnit::backoffDelay(const HwOrderKey &key, uint32_t streak,
     return std::min(backoffBase_ << shift, backoffCap_);
 }
 
+template <typename Ar>
 void
-LivenessUnit::ckptSave(ckpt::Writer &w) const
+LivenessUnit::serialize(Ar &ar)
 {
-    ckptSaveKeySet(w, retrying_);
-    w.b(owner_.has_value());
-    if (owner_)
-        ckptSaveKey(w, *owner_);
-    ckpt::save(w, squashRetries_);
-    ckpt::save(w, backoffStallCycles_);
-    ckpt::save(w, ownerChanges_);
-    w.u64(maxStreak_);
+    ar.seq(retrying_);
+    ar(owner_, squashRetries_, backoffStallCycles_, ownerChanges_,
+       maxStreak_);
 }
 
-void
-LivenessUnit::ckptRestore(ckpt::Reader &r)
-{
-    ckptRestoreKeySet(r, retrying_);
-    owner_.reset();
-    if (r.b())
-        owner_ = ckptReadKey(r);
-    ckpt::restore(r, squashRetries_);
-    ckpt::restore(r, backoffStallCycles_);
-    ckpt::restore(r, ownerChanges_);
-    maxStreak_ = r.u64();
-}
+template void LivenessUnit::serialize(ckpt::Writer &);
+template void LivenessUnit::serialize(ckpt::Reader &);
 
 void
 LivenessUnit::registerStats(StatRegistry &reg,

@@ -145,14 +145,13 @@ class LivenessUnit
     void registerStats(StatRegistry &reg,
                        const std::string &component) const;
 
-    /** Serialize retry/owner/counter state (docs/checkpointing.md). */
-    void ckptSave(ckpt::Writer &w) const;
     /**
-     * Overwrite the dynamic state from a checkpoint. Sets fields
-     * directly — deliberately NOT via refreshOwner(), whose
+     * Checkpoint field list: retry/owner/counter state. A restore sets
+     * fields directly — deliberately NOT via refreshOwner(), whose
      * mem_.unpinAll() side effect would wipe the restored pin set.
      */
-    void ckptRestore(ckpt::Reader &r);
+    template <typename Ar>
+    void serialize(Ar &ar);
 
   private:
     void refreshOwner();

@@ -46,10 +46,9 @@ class RendezvousGroup
         return !waiting_.empty() && !(*waiting_.begin() < k);
     }
 
-    /** Serialize the waiting-key multiset (docs/checkpointing.md). */
-    void ckptSave(ckpt::Writer &w) const { ckptSaveKeySet(w, waiting_); }
-    /** Overwrite the multiset from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r) { ckptRestoreKeySet(r, waiting_); }
+    /** Checkpoint field list: the waiting-key multiset. */
+    template <typename Ar>
+    void serialize(Ar &ar) { ar.seq(waiting_); }
 
   private:
     ArenaRef arenaRef_; //!< declared before waiting_ (allocator source)

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bdfg/token.hh"
-#include "checkpoint/ckpt.hh"
 #include "core/rule.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
@@ -94,48 +93,17 @@ class RuleEngine
                        const std::string &component) const;
 
     /**
-     * Serialize lane contents and counters (docs/checkpointing.md).
-     * The RuleSpec (clauses, lambdas) is rebuilt from the app spec on
-     * restore; only the dynamic lane state travels.
+     * Checkpoint field list: lane contents and counters. The RuleSpec
+     * (clauses, lambdas) is rebuilt from the app spec on restore; only
+     * the dynamic lane state travels.
      */
+    template <typename Ar>
     void
-    ckptSave(ckpt::Writer &w) const
+    serialize(Ar &ar)
     {
-        static_assert(std::is_trivially_copyable_v<Lane>,
-                      "rule lanes must stay pod for checkpointing");
-        w.vecPod(lanes_);
-        w.u32(nextLane_);
-        w.u32(inUse_);
-        w.u32(maxInUse_);
-        ckpt::save(w, allocs_);
-        ckpt::save(w, allocFails_);
-        ckpt::save(w, events_);
-        ckpt::save(w, clauseFires_);
-        ckpt::save(w, otherwiseFires_);
-        ckpt::save(w, fallbackFires_);
-    }
-
-    /** Overwrite the engine's dynamic state from a checkpoint. */
-    void
-    ckptRestore(ckpt::Reader &r)
-    {
-        auto lanes = r.vecPod<Lane>();
-        if (lanes.size() != lanes_.size()) {
-            fatal("checkpoint: rule engine '", spec_.name, "' has ",
-                  lanes.size(), " saved lanes, this machine has ",
-                  lanes_.size(),
-                  " — restore requires the same structural config");
-        }
-        lanes_ = std::move(lanes);
-        nextLane_ = r.u32();
-        inUse_ = r.u32();
-        maxInUse_ = r.u32();
-        ckpt::restore(r, allocs_);
-        ckpt::restore(r, allocFails_);
-        ckpt::restore(r, events_);
-        ckpt::restore(r, clauseFires_);
-        ckpt::restore(r, otherwiseFires_);
-        ckpt::restore(r, fallbackFires_);
+        ar.fixed(lanes_, "rule-engine lanes");
+        ar(nextLane_, inUse_, maxInUse_, allocs_, allocFails_, events_,
+           clauseFires_, otherwiseFires_, fallbackFires_);
     }
 
   private:

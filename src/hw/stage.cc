@@ -544,107 +544,6 @@ RendezvousStage::nextWakeCycle(uint64_t cycle) const
     return wake;
 }
 
-// ------------------------------------------------------------ checkpoint
-
-void
-Stage::ckptSave(ckpt::Writer &w) const
-{
-    w.u64(st_.busy);
-    w.u64(st_.stall);
-    w.u64(st_.idle);
-    w.u64(st_.tokens);
-    w.b(fired_);
-    w.b(hasWork_);
-    w.b(movedToken_);
-    w.b(lastBusy_);
-    ckptSaveExtra(w);
-}
-
-void
-Stage::ckptRestore(ckpt::Reader &r)
-{
-    st_.busy = r.u64();
-    st_.stall = r.u64();
-    st_.idle = r.u64();
-    st_.tokens = r.u64();
-    fired_ = r.b();
-    hasWork_ = r.b();
-    movedToken_ = r.b();
-    lastBusy_ = r.b();
-    ckptRestoreExtra(r);
-}
-
-void
-ExpandStage::ckptSaveExtra(ckpt::Writer &w) const
-{
-    w.b(active_);
-    w.pod(current_);
-    w.u64(pos_);
-    w.u64(end_);
-}
-
-void
-ExpandStage::ckptRestoreExtra(ckpt::Reader &r)
-{
-    active_ = r.b();
-    current_ = r.pod<Token>();
-    pos_ = r.u64();
-    end_ = r.u64();
-}
-
-void
-MemStage::ckptSaveExtra(ckpt::Writer &w) const
-{
-    static_assert(std::is_trivially_copyable_v<Entry>,
-                  "LSU entries must stay pod for checkpointing");
-    w.vecPod(entries_);
-    w.u32(issueRejects_);
-}
-
-void
-MemStage::ckptRestoreExtra(ckpt::Reader &r)
-{
-    // No occupancy bound check: the liveness entry port admits
-    // entries past maxEntries_ while a pin is active (see doTick), so
-    // over-nominal occupancy is a legal machine state. The structural
-    // config key verified at the head of the file already pins
-    // lsuEntries itself.
-    entries_ = r.vecPod<Entry>();
-    issueRejects_ = r.u32();
-}
-
-void
-AllocRuleStage::ckptSaveExtra(ckpt::Writer &w) const
-{
-    w.b(allocFailed_);
-}
-
-void
-AllocRuleStage::ckptRestoreExtra(ckpt::Reader &r)
-{
-    allocFailed_ = r.b();
-}
-
-void
-RendezvousStage::ckptSaveExtra(ckpt::Writer &w) const
-{
-    w.vecPod(entries_);
-    w.u64(fallbacks_);
-}
-
-void
-RendezvousStage::ckptRestoreExtra(ckpt::Reader &r)
-{
-    entries_ = r.vecPod<Token>();
-    if (entries_.size() > maxEntries_) {
-        fatal("checkpoint: rendezvous '", traceLabel(), "' has ",
-              entries_.size(), " saved entries, this machine allows ",
-              maxEntries_,
-              " — restore requires the same structural config");
-    }
-    fallbacks_ = r.u64();
-}
-
 // ---------------------------------------------------------------- factory
 
 std::unique_ptr<Stage>

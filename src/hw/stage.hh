@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bdfg/actor.hh"
+#include "checkpoint/ckpt.hh"
 #include "hw/config.hh"
 #include "hw/fifo.hh"
 #include "hw/live_keys.hh"
@@ -114,18 +115,27 @@ class Stage
     const std::string &traceLabel() const { return traceLabel_; }
 
     /**
-     * Serialize base accounting plus kind-specific internal buffers
-     * (docs/checkpointing.md). Bound FIFOs are owned and serialized
-     * by the accelerator, not here.
+     * Checkpoint field list: base accounting plus kind-specific
+     * internal buffers. Bound FIFOs are owned and serialized by the
+     * accelerator, not here.
      */
-    void ckptSave(ckpt::Writer &w) const;
-    /** Overwrite the stage's dynamic state from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r);
+    template <typename Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(st_.busy, st_.stall, st_.idle, st_.tokens, fired_, hasWork_,
+           movedToken_, lastBusy_);
+        serializeKind(ar);
+    }
 
   protected:
-    /** Kind-specific state on top of the base accounting. */
-    virtual void ckptSaveExtra(ckpt::Writer &) const {}
-    virtual void ckptRestoreExtra(ckpt::Reader &) {}
+    /**
+     * Kind-specific state on top of the base accounting. A template
+     * cannot be virtual, so each kind forwards both archives to its
+     * own kindFields(Ar &).
+     */
+    virtual void serializeKind(ckpt::Writer &) {}
+    virtual void serializeKind(ckpt::Reader &) {}
     /** Kind-specific behaviour; sets fired_/hasWork_/movedToken_. */
     virtual void doTick(uint64_t cycle) = 0;
 
@@ -225,10 +235,13 @@ class ExpandStage : public Stage
 
   protected:
     void doTick(uint64_t cycle) override;
-    void ckptSaveExtra(ckpt::Writer &w) const override;
-    void ckptRestoreExtra(ckpt::Reader &r) override;
+    void serializeKind(ckpt::Writer &w) override { kindFields(w); }
+    void serializeKind(ckpt::Reader &r) override { kindFields(r); }
 
   private:
+    template <typename Ar>
+    void kindFields(Ar &ar) { ar(active_, current_, pos_, end_); }
+
     bool active_ = false;
     Token current_;
     uint64_t pos_ = 0;
@@ -249,10 +262,20 @@ class MemStage : public Stage
   protected:
     void doTick(uint64_t cycle) override;
     void chargeSkippedRetries(uint64_t cycles) override;
-    void ckptSaveExtra(ckpt::Writer &w) const override;
-    void ckptRestoreExtra(ckpt::Reader &r) override;
+    void serializeKind(ckpt::Writer &w) override { kindFields(w); }
+    void serializeKind(ckpt::Reader &r) override { kindFields(r); }
 
   private:
+    /**
+     * No occupancy bound check: the liveness entry port admits entries
+     * past maxEntries_ while a pin is active (see doTick), so
+     * over-nominal occupancy is a legal machine state. The structural
+     * config key verified at the head of the file already pins
+     * lsuEntries itself.
+     */
+    template <typename Ar>
+    void kindFields(Ar &ar) { ar(entries_, issueRejects_); }
+
     struct Entry
     {
         Token tok;
@@ -285,10 +308,13 @@ class AllocRuleStage : public Stage
   protected:
     void doTick(uint64_t cycle) override;
     void chargeSkippedRetries(uint64_t cycles) override;
-    void ckptSaveExtra(ckpt::Writer &w) const override;
-    void ckptRestoreExtra(ckpt::Reader &r) override;
+    void serializeKind(ckpt::Writer &w) override { kindFields(w); }
+    void serializeKind(ckpt::Reader &r) override { kindFields(r); }
 
   private:
+    template <typename Ar>
+    void kindFields(Ar &ar) { ar(allocFailed_); }
+
     bool allocFailed_ = false; //!< last tick found no free lane
 };
 
@@ -313,10 +339,22 @@ class RendezvousStage : public Stage
 
   protected:
     void doTick(uint64_t cycle) override;
-    void ckptSaveExtra(ckpt::Writer &w) const override;
-    void ckptRestoreExtra(ckpt::Reader &r) override;
+    void serializeKind(ckpt::Writer &w) override { kindFields(w); }
+    void serializeKind(ckpt::Reader &r) override { kindFields(r); }
 
   private:
+    template <typename Ar>
+    void
+    kindFields(Ar &ar)
+    {
+        ar(entries_);
+        ar.check(entries_.size() <= maxEntries_, "has ", entries_.size(),
+                 " saved entries in rendezvous '", traceLabel(),
+                 "', this machine allows ", maxEntries_,
+                 " — restore requires the same structural config");
+        ar(fallbacks_);
+    }
+
     std::vector<Token> entries_;
     uint32_t maxEntries_;
     RendezvousGroup *group_;

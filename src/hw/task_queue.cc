@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "checkpoint/ckpt.hh"
 #include "hw/liveness.hh"
 #include "support/logging.hh"
 #include "support/stats_registry.hh"
@@ -252,79 +253,33 @@ TaskQueueUnit::occupancy() const
     return n;
 }
 
+template <typename Ar>
 void
-TaskQueueUnit::ckptSave(ckpt::Writer &w) const
+TaskQueueUnit::serialize(Ar &ar)
 {
-    w.u64(banks_.size());
-    for (const auto &b : banks_)
-        b.ckptSave(w);
-    auto saveMap = [&w](const HeapMap &m) {
-        w.u64(m.size());
-        for (const auto &[key, item] : m) {
-            ckptSaveKey(w, key.first);
-            w.u64(key.second);
-            w.u64(item.visibleAt);
-            w.u64(item.pushedAt);
-            w.pod(item.task);
-        }
+    ar.expect(banks_.size(), "task-queue banks");
+    for (auto &b : banks_)
+        ar(b);
+    auto heapEntry = [&ar](auto &e) {
+        ar(e.first, e.second.visibleAt, e.second.pushedAt, e.second.task);
     };
-    saveMap(ready_);
-    saveMap(parked_);
-    w.u64(heapSeq_);
-    w.u32(heapPopsThisCycle_);
-    w.u64(heapPopCycle_);
-    w.u32(counter_);
-    w.vecPod(bankLastPop_);
-    ckpt::save(w, pushes_);
-    ckpt::save(w, pops_);
-    ckpt::save(w, retryOverflows_);
-    w.u64(maxOccupancy_);
-    ckpt::save(w, occHist_);
+    ar.seq(ready_, heapEntry);
+    ar.seq(parked_, heapEntry);
+    ar(heapSeq_, heapPopsThisCycle_, heapPopCycle_, counter_);
+    ar.fixed(bankLastPop_, "task-queue bank pop slots");
+    ar(pushes_, pops_, retryOverflows_, maxOccupancy_, occHist_);
+    if constexpr (Ar::kRestoring) {
+        // Rebuild the promotion heap from parked_: the live heap may
+        // carry lazily-deleted stale entries, but those are skipped at
+        // promotion time, so a clean rebuild is behaviorally identical.
+        promo_ = {};
+        for (const auto &[key, item] : parked_)
+            promo_.emplace(item.visibleAt, key);
+    }
 }
 
-void
-TaskQueueUnit::ckptRestore(ckpt::Reader &r)
-{
-    uint64_t nbanks = r.u64();
-    if (nbanks != banks_.size()) {
-        fatal("checkpoint: queue '", decl_.name, "' has ", nbanks,
-              " saved banks, this machine has ", banks_.size(),
-              " — restore requires the same structural config");
-    }
-    for (auto &b : banks_)
-        b.ckptRestore(r);
-    auto restoreMap = [&r](HeapMap &m) {
-        m.clear();
-        uint64_t n = r.u64();
-        for (uint64_t i = 0; i < n; ++i) {
-            HwOrderKey ok = ckptReadKey(r);
-            uint64_t seq = r.u64();
-            HeapItem item;
-            item.visibleAt = r.u64();
-            item.pushedAt = r.u64();
-            item.task = r.pod<SwTask>();
-            m.emplace(HeapKey{ok, seq}, item);
-        }
-    };
-    restoreMap(ready_);
-    restoreMap(parked_);
-    // Rebuild the promotion heap from parked_: the live heap may
-    // carry lazily-deleted stale entries, but those are skipped at
-    // promotion time, so a clean rebuild is behaviorally identical.
-    promo_ = {};
-    for (const auto &[key, item] : parked_)
-        promo_.emplace(item.visibleAt, key);
-    heapSeq_ = r.u64();
-    heapPopsThisCycle_ = r.u32();
-    heapPopCycle_ = r.u64();
-    counter_ = r.u32();
-    bankLastPop_ = r.vecPod<uint64_t>();
-    ckpt::restore(r, pushes_);
-    ckpt::restore(r, pops_);
-    ckpt::restore(r, retryOverflows_);
-    maxOccupancy_ = r.u64();
-    ckpt::restore(r, occHist_);
-}
+template void TaskQueueUnit::serialize(ckpt::Writer &);
+template void TaskQueueUnit::serialize(ckpt::Reader &);
 
 void
 TaskQueueUnit::registerStats(StatRegistry &reg,

@@ -92,13 +92,12 @@ class TaskQueueUnit
                        const std::string &component) const;
 
     /**
-     * Serialize banks, heap maps and counters
-     * (docs/checkpointing.md). The promotion heap is not saved: it is
-     * a lazy-deletion cache over parked_ and is rebuilt on restore.
+     * Checkpoint field list: banks, heap maps and counters. The
+     * promotion heap is not saved: it is a lazy-deletion cache over
+     * parked_ and is rebuilt on restore.
      */
-    void ckptSave(ckpt::Writer &w) const;
-    /** Overwrite the queue's dynamic state from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r);
+    template <typename Ar>
+    void serialize(Ar &ar);
 
   private:
     /** Priority-mode storage entry. */

@@ -176,53 +176,6 @@ Cache::pinnedLines() const
 }
 
 void
-Cache::ckptSave(ckpt::Writer &w) const
-{
-    static_assert(std::is_trivially_copyable_v<Line>,
-                  "cache lines must stay pod for checkpointing");
-    w.vecPod(lines_);
-    w.vecPod(mshrDone_);
-    w.u64(pinSlotDone_);
-    ckpt::save(w, hits_);
-    ckpt::save(w, misses_);
-    ckpt::save(w, writebacks_);
-    ckpt::save(w, mshrRejects_);
-    ckpt::save(w, prefetches_);
-    ckpt::save(w, missUnderFills_);
-    ckpt::save(w, linePins_);
-    ckpt::save(w, pinBypasses_);
-    ckpt::save(w, pinSlotFills_);
-}
-
-void
-Cache::ckptRestore(ckpt::Reader &r)
-{
-    auto lines = r.vecPod<Line>();
-    if (lines.size() != lines_.size()) {
-        fatal("checkpoint: cache has ", lines.size(),
-              " saved lines, this machine has ", lines_.size(),
-              " — restore requires the same structural config");
-    }
-    lines_ = std::move(lines);
-    mshrDone_ = r.vecPod<uint64_t>();
-    if (mshrDone_.size() > cfg_.mshrs) {
-        fatal("checkpoint: ", mshrDone_.size(),
-              " in-flight misses saved, this machine has ", cfg_.mshrs,
-              " MSHRs — restore requires the same structural config");
-    }
-    pinSlotDone_ = r.u64();
-    ckpt::restore(r, hits_);
-    ckpt::restore(r, misses_);
-    ckpt::restore(r, writebacks_);
-    ckpt::restore(r, mshrRejects_);
-    ckpt::restore(r, prefetches_);
-    ckpt::restore(r, missUnderFills_);
-    ckpt::restore(r, linePins_);
-    ckpt::restore(r, pinBypasses_);
-    ckpt::restore(r, pinSlotFills_);
-}
-
-void
 Cache::registerStats(StatRegistry &reg,
                      const std::string &component) const
 {

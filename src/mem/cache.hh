@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/ckpt.hh"
 #include "mem/qpi.hh"
 #include "support/stats.hh"
 #include "support/wake.hh"
@@ -116,12 +115,22 @@ class Cache
                        const std::string &component) const;
 
     /**
-     * Serialize lines, in-flight MSHRs, the reserve pin slot and all
-     * counters (docs/checkpointing.md).
+     * Checkpoint field list: lines, in-flight MSHRs, the reserve pin
+     * slot and all counters.
      */
-    void ckptSave(ckpt::Writer &w) const;
-    /** Overwrite the cache's dynamic state from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r);
+    template <typename Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar.fixed(lines_, "cache lines");
+        ar(mshrDone_);
+        ar.check(mshrDone_.size() <= cfg_.mshrs, "has ", mshrDone_.size(),
+                 " in-flight misses saved, this machine has ", cfg_.mshrs,
+                 " MSHRs — restore requires the same structural config");
+        ar(pinSlotDone_, hits_, misses_, writebacks_, mshrRejects_,
+           prefetches_, missUnderFills_, linePins_, pinBypasses_,
+           pinSlotFills_);
+    }
 
   private:
     struct Line

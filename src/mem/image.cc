@@ -39,32 +39,4 @@ MemoryImage::writeWord(uint64_t addr, Word value)
     page[word_idx % kPageWords] = value;
 }
 
-void
-MemoryImage::ckptSave(ckpt::Writer &w) const
-{
-    w.u64(brk_);
-    std::vector<uint64_t> keys;
-    keys.reserve(pages_.size());
-    for (const auto &[page, words] : pages_)
-        keys.push_back(page);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (uint64_t page : keys) {
-        w.u64(page);
-        w.vecPod(pages_.at(page));
-    }
-}
-
-void
-MemoryImage::ckptRestore(ckpt::Reader &r)
-{
-    brk_ = r.u64();
-    pages_.clear();
-    uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n; ++i) {
-        uint64_t page = r.u64();
-        pages_[page] = r.vecPod<Word>();
-    }
-}
-
 } // namespace apir

@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "checkpoint/ckpt.hh"
 #include "core/task.hh"
 
 namespace apir {
@@ -66,13 +65,21 @@ class MemoryImage
     uint64_t brk() const { return brk_; }
 
     /**
-     * Serialize the allocator brk and every mapped page, sorted by
-     * page number so the byte stream is independent of the unordered
-     * map's iteration order (docs/checkpointing.md).
+     * Checkpoint field list: the allocator brk and every mapped page
+     * (ar.seq visits the hash map in page order).
      */
-    void ckptSave(ckpt::Writer &w) const;
-    /** Overwrite the image's contents from a checkpoint. */
-    void ckptRestore(ckpt::Reader &r);
+    template <typename Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(brk_);
+        ar.seq(pages_, [&ar](auto &page) {
+            ar(page.first, page.second);
+            ar.check(page.second.size() == kPageWords, "has a ",
+                     page.second.size(), "-word memory page, pages hold ",
+                     kPageWords, " words");
+        });
+    }
 
   private:
     static constexpr uint64_t kPageWords = 4096;

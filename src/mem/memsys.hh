@@ -117,29 +117,11 @@ class MemorySystem
     void attachTracer(ChromeTracer *tracer);
 
     /**
-     * Serialize the whole memory system: image, cache, QPI link and
-     * the access counters (docs/checkpointing.md).
+     * Checkpoint field list: the access counters, cache, QPI link and
+     * image.
      */
-    void
-    ckptSave(ckpt::Writer &w) const
-    {
-        ckpt::save(w, reads_);
-        ckpt::save(w, writes_);
-        cache_->ckptSave(w);
-        qpi_->ckptSave(w);
-        image_.ckptSave(w);
-    }
-
-    /** Overwrite the memory system's dynamic state from a checkpoint. */
-    void
-    ckptRestore(ckpt::Reader &r)
-    {
-        ckpt::restore(r, reads_);
-        ckpt::restore(r, writes_);
-        cache_->ckptRestore(r);
-        qpi_->ckptRestore(r);
-        image_.ckptRestore(r);
-    }
+    template <typename Ar>
+    void serialize(Ar &ar) { ar(reads_, writes_, *cache_, *qpi_, image_); }
 
   private:
     MemConfig cfg_;

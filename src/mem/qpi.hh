@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <string>
 
-#include "checkpoint/ckpt.hh"
 #include "support/stats.hh"
 
 namespace apir {
@@ -81,24 +80,12 @@ class QpiChannel
     /** Emit busy intervals to `tracer` (not owned; may be null). */
     void attachTracer(ChromeTracer *tracer) { tracer_ = tracer; }
 
-    /** Serialize link occupancy and counters (docs/checkpointing.md). */
+    /** Checkpoint field list: link occupancy and counters. */
+    template <typename Ar>
     void
-    ckptSave(ckpt::Writer &w) const
+    serialize(Ar &ar)
     {
-        w.f64(nextFree_);
-        w.f64(busyCycles_);
-        ckpt::save(w, bytesMoved_);
-        ckpt::save(w, transfers_);
-    }
-
-    /** Overwrite the link's dynamic state from a checkpoint. */
-    void
-    ckptRestore(ckpt::Reader &r)
-    {
-        nextFree_ = r.f64();
-        busyCycles_ = r.f64();
-        ckpt::restore(r, bytesMoved_);
-        ckpt::restore(r, transfers_);
+        ar(nextFree_, busyCycles_, bytesMoved_, transfers_);
     }
 
   private:

@@ -25,8 +25,10 @@ class Counter
     void operator++(int) { ++value_; }
     uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
-    /** Overwrite the count (checkpoint restore). */
-    void restore(uint64_t v) { value_ = v; }
+
+    /** Checkpoint field list (checkpoint/ckpt.hh). */
+    template <typename Ar>
+    void serialize(Ar &ar) { ar(value_); }
 
   private:
     uint64_t value_ = 0;
@@ -49,9 +51,9 @@ class Average
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
     uint64_t count() const { return count_; }
-    /** Exact running sum (checkpoint save needs it, mean() rounds). */
+    /** Exact running sum (mean() rounds). */
     double sum() const { return sum_; }
-    /** Raw min/max fields, valid regardless of count (checkpoint). */
+    /** Raw min/max fields, valid regardless of count. */
     double rawMin() const { return min_; }
     double rawMax() const { return max_; }
 
@@ -63,15 +65,9 @@ class Average
         count_ = 0;
     }
 
-    /** Overwrite the full running state (checkpoint restore). */
-    void
-    restore(double sum, double min, double max, uint64_t count)
-    {
-        sum_ = sum;
-        min_ = min;
-        max_ = max;
-        count_ = count;
-    }
+    /** Checkpoint field list: exact bits, so restores print alike. */
+    template <typename Ar>
+    void serialize(Ar &ar) { ar(sum_, min_, max_, count_); }
 
   private:
     double sum_ = 0.0;
@@ -129,15 +125,16 @@ class Histogram
      */
     double quantile(double q) const;
 
-    /** Overwrite the full sample state (checkpoint restore). */
+    /**
+     * Checkpoint field list. maxSeen_ travels too: the quantile of an
+     * overflow rank reports it.
+     */
+    template <typename Ar>
     void
-    restore(std::vector<uint64_t> counts, uint64_t overflow,
-            uint64_t total, double maxSeen)
+    serialize(Ar &ar)
     {
-        counts_ = std::move(counts);
-        overflow_ = overflow;
-        total_ = total;
-        maxSeen_ = maxSeen;
+        ar.fixed(counts_, "histogram buckets");
+        ar(overflow_, total_, maxSeen_);
     }
 
   private:

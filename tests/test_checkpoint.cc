@@ -11,12 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "checkpoint/ckpt.hh"
+#include "geometry/point.hh"
 #include "support/logging.hh"
 
 namespace apir {
@@ -119,9 +122,7 @@ TEST(CkptFormat, StatObjectsRoundTripBitExactly)
 
     ckpt::Writer w;
     w.begin("stats");
-    ckpt::save(w, c);
-    ckpt::save(w, a);
-    ckpt::save(w, h);
+    w(c, a, h);
     w.end();
     w.finish(path);
 
@@ -130,9 +131,7 @@ TEST(CkptFormat, StatObjectsRoundTripBitExactly)
     Histogram h2(4, 1.0);
     ckpt::Reader r(path);
     r.begin("stats");
-    ckpt::restore(r, c2);
-    ckpt::restore(r, a2);
-    ckpt::restore(r, h2);
+    r(c2, a2, h2);
     r.end();
     EXPECT_TRUE(r.atEnd());
 
@@ -232,6 +231,26 @@ TEST(CkptFormat, ReadPastSectionEndIsFatal)
         FatalError);
 }
 
+TEST(CkptFormat, VectorCountPastPayloadIsFatal)
+{
+    // 2^61 eight-byte elements wrap n * sizeof(T) to 0, so the reader
+    // must bound the count, not the byte total.
+    std::string path = ::testing::TempDir() + "huge_vector.ckpt";
+    ckpt::Writer w;
+    w.begin("a");
+    w.u64(uint64_t(1) << 61);
+    w.end();
+    w.finish(path);
+    ScopedFatalThrows guard;
+    EXPECT_THROW(
+        {
+            ckpt::Reader r(path);
+            r.begin("a");
+            r.vecPod<uint64_t>();
+        },
+        FatalError);
+}
+
 TEST(CkptFormat, TrailingBytesAreVisible)
 {
     // The Reader exposes trailing garbage via atEnd(); the bench
@@ -279,9 +298,30 @@ expectRoundTrip(Bench b, const Workloads &w, const AccelConfig &cfg,
     rest.restorePrefix = prefix;
     EXPECT_EQ(statsOf(b, w, cfg, rest), baseline)
         << benchName(b) << ": restored run diverged";
+
+    // Saving the restored machine before it moves must reproduce the
+    // file: a field the restore dropped or altered shows up here.
+    CheckpointOptions resave = rest;
+    resave.saveCycle = save.saveCycle;
+    resave.savePrefix = prefix + "_resaved";
+    statsOf(b, w, cfg, resave);
+    EXPECT_TRUE(slurp(checkpointPath(resave.savePrefix, b)) ==
+                slurp(checkpointPath(prefix, b)))
+        << benchName(b) << ": re-saved checkpoint differs";
 }
 
 // --------------------------------------------------------- e2e round trips
+
+/** gtest parameter name: the bench name without its dash. */
+std::string
+benchParamName(const ::testing::TestParamInfo<Bench> &info)
+{
+    std::string n;
+    for (const char *p = benchName(info.param); *p; ++p)
+        if (*p != '-')
+            n += *p;
+    return n;
+}
 
 class CheckpointRoundTrip : public ::testing::TestWithParam<Bench>
 {
@@ -312,15 +352,8 @@ TEST_P(CheckpointRoundTrip, ByteIdenticalAcrossModesAndSeeds)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBenches, CheckpointRoundTrip, ::testing::ValuesIn(kAllBenches),
-    [](const ::testing::TestParamInfo<Bench> &info) {
-        std::string n;
-        for (const char *p = benchName(info.param); *p; ++p)
-            if (*p != '-')
-                n += *p;
-        return n;
-    });
+INSTANTIATE_TEST_SUITE_P(AllBenches, CheckpointRoundTrip,
+                         ::testing::ValuesIn(kAllBenches), benchParamName);
 
 TEST(CheckpointRoundTripExtra, DegenerateMshr1MachineWithElasticLsu)
 {
@@ -339,6 +372,55 @@ TEST(CheckpointRoundTripExtra, DegenerateMshr1MachineWithElasticLsu)
                         ::testing::TempDir() + "rt_mshr1_" +
                             std::to_string(static_cast<int>(b)));
 }
+
+// --------------------------------------------------- committed v1 files
+
+/** The cycle a checkpoint was saved at: accel.core's first field. */
+uint64_t
+savedCycle(const std::string &path)
+{
+    ckpt::Reader r(path);
+    r.begin("ckpt.config");
+    r.str();
+    r.str();
+    r.end();
+    r.begin("ckpt.meta");
+    r.str();
+    r.str();
+    r.u32();
+    r.end();
+    r.begin("accel.core");
+    return r.u64();
+}
+
+class CheckpointFixture : public ::testing::TestWithParam<Bench>
+{
+};
+
+TEST_P(CheckpointFixture, V1FileRestoresAndResavesByteIdentically)
+{
+    // tests/fixtures/ckpt_v1 holds `fig9_speedup --scale 0.01
+    // --checkpoint-save auto:fig9` output from the first build of the
+    // version-1 layout. A build that still reads version 1 restores
+    // each to the uninterrupted run, and saving the restored machine
+    // at once writes the same bytes back.
+    Bench b = GetParam();
+    Workloads w = makeWorkloads(0.01, 42); // fig9's defaults
+    AccelConfig cfg = defaultAccelConfig();
+    std::string fixture = std::string(APIR_CKPT_FIXTURE_DIR) + "/fig9";
+    CheckpointOptions ck;
+    ck.restorePrefix = fixture;
+    ck.saveCycle = savedCycle(checkpointPath(fixture, b));
+    ck.savePrefix = ::testing::TempDir() + "fixture_resaved";
+    EXPECT_EQ(statsOf(b, w, cfg, ck), statsOf(b, w, cfg))
+        << benchName(b) << ": restored fixture diverged";
+    EXPECT_TRUE(slurp(checkpointPath(ck.savePrefix, b)) ==
+                slurp(checkpointPath(fixture, b)))
+        << benchName(b) << ": re-saved fixture differs";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenches, CheckpointFixture,
+                         ::testing::ValuesIn(kAllBenches), benchParamName);
 
 // ----------------------------------------------------- e2e rejection paths
 
@@ -368,17 +450,17 @@ TEST(CheckpointRestore, MissingCheckpointFileIsFatal)
         FatalError);
 }
 
-/** Save one COOR-BFS checkpoint and return its prefix. */
+/** Save one mid-run checkpoint of `b` and return its prefix. */
 std::string
 savedPrefix(const Workloads &w, const AccelConfig &cfg,
-            const std::string &name)
+            const std::string &name, Bench b = Bench::CoorBfs)
 {
     std::string prefix = ::testing::TempDir() + name;
-    AccelRun base = runAccelerator(Bench::CoorBfs, w, cfg);
+    AccelRun base = runAccelerator(b, w, cfg);
     CheckpointOptions save;
     save.saveCycle = std::max<uint64_t>(1, base.rr.cycles / 2);
     save.savePrefix = prefix;
-    runAccelerator(Bench::CoorBfs, w, cfg, false, save);
+    runAccelerator(b, w, cfg, false, save);
     return prefix;
 }
 
@@ -492,6 +574,122 @@ TEST(CheckpointRestore, AutoSaveCalibratesToTheRunAndRoundTrips)
     // restored run resumes in the run's final quarter.
     EXPECT_EQ(restored.rr.startCycle,
               std::max<uint64_t>(1, restored.rr.cycles / 4 * 3));
+}
+
+// ------------------------------------------- host-state rejection paths
+
+/**
+ * Save a mid-run `b` checkpoint, swap its host.state section (the
+ * file's last) for one `fill` writes, and require the restore to be a
+ * located fatal mentioning `needle`.
+ */
+void
+expectHostStateRejected(Bench b, const std::string &name,
+                        const std::function<void(ckpt::Writer &)> &fill,
+                        const std::string &needle)
+{
+    Workloads w = makeWorkloads(0.02, 1);
+    AccelConfig cfg = defaultAccelConfig();
+    std::string prefix = savedPrefix(w, cfg, name, b);
+    std::string path = checkpointPath(prefix, b);
+    auto bytes = slurp(path);
+    size_t pos = 12; // magic + version word
+    for (;;) {
+        ASSERT_LT(pos, bytes.size()) << "no host.state section";
+        uint32_t nameLen;
+        std::memcpy(&nameLen, &bytes[pos], sizeof(nameLen));
+        std::string section(reinterpret_cast<const char *>(&bytes[pos + 4]),
+                            nameLen);
+        if (section == "host.state")
+            break;
+        uint64_t len;
+        std::memcpy(&len, &bytes[pos + 4 + nameLen], sizeof(len));
+        pos += 4 + nameLen + 8 + len;
+    }
+    bytes.resize(pos);
+    ckpt::Writer wr;
+    wr.begin("host.state");
+    fill(wr);
+    wr.end();
+    wr.finish(path + ".host");
+    auto host = slurp(path + ".host");
+    bytes.insert(bytes.end(), host.begin() + 12, host.end());
+    spit(path, bytes);
+
+    CheckpointOptions rest;
+    rest.restorePrefix = prefix;
+    ScopedFatalThrows guard;
+    try {
+        runAccelerator(b, w, cfg, false, rest);
+        ADD_FAILURE() << "restore accepted a corrupt host.state";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CheckpointRestore, DmrTriangleCountPastPayloadIsFatal)
+{
+    expectHostStateRejected(
+        Bench::SpecDmr, "dmr_count",
+        [](ckpt::Writer &wr) {
+            wr.vecPod(std::vector<Point>(3));
+            wr.u64(uint64_t(1) << 40); // triangles, none of them present
+        },
+        "truncated");
+}
+
+TEST(CheckpointRestore, DmrTriangleIndexOutOfRangeIsFatal)
+{
+    expectHostStateRejected(
+        Bench::SpecDmr, "dmr_index",
+        [](ckpt::Writer &wr) {
+            wr.vecPod(std::vector<Point>(3));
+            wr.u64(1);
+            for (uint32_t v : {0u, 1u, 7u}) // vertex 7 of 3 points
+                wr.u32(v);
+            for (int k = 0; k < 3; ++k)
+                wr.u32(0xffffffffu); // no neighbor
+            wr.b(true);
+            wr.u64(0); // refinements applied
+            wr.u64(0); // produced map
+        },
+        "SPEC-DMR triangle");
+}
+
+/** LU host.state up to its block list, on the 0.02-scale matrix. */
+void
+writeLuShape(ckpt::Writer &wr)
+{
+    Workloads w = makeWorkloads(0.02, 1);
+    wr.u32(w.luBlocks);
+    wr.u32(w.luBlockSize);
+    wr.u64(1); // one stored block
+}
+
+TEST(CheckpointRestore, LuBlockCoordinateOutOfRangeIsFatal)
+{
+    expectHostStateRejected(
+        Bench::CoorLu, "lu_coord",
+        [](ckpt::Writer &wr) {
+            writeLuShape(wr);
+            wr.u32(makeWorkloads(0.02, 1).luBlocks); // one row too far
+            wr.u32(0);
+        },
+        "outside the");
+}
+
+TEST(CheckpointRestore, LuBlockPayloadLengthMismatchIsFatal)
+{
+    expectHostStateRejected(
+        Bench::CoorLu, "lu_payload",
+        [](ckpt::Writer &wr) {
+            writeLuShape(wr);
+            wr.u32(0);
+            wr.u32(0);
+            wr.vecPod(std::vector<double>(3, 1.0)); // not bsize^2 values
+        },
+        "values in an LU block");
 }
 
 } // namespace
