@@ -43,7 +43,6 @@ configCanonicalKey(const AccelConfig &cfg)
        << "|accel.deadlockCycles=" << cfg.deadlockCycles
        << "|accel.maxCycles=" << cfg.maxCycles
        << "|accel.fastForward=" << cfg.fastForward
-       << "|accel.wakeCalendar=" << cfg.wakeCalendar
        << "|accel.clockHz=" << num(cfg.clockHz)
        << "|spec.liveness=" << cfg.specLiveness
        << "|spec.backoffBase=" << cfg.specBackoffBase

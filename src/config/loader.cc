@@ -106,8 +106,6 @@ knobTable()
              u64(&AccelConfig::deadlockCycles, 0)),
         bind("accel", "maxCycles", u64(&AccelConfig::maxCycles, 1)),
         bind("accel", "fastForward", boolean(&AccelConfig::fastForward)),
-        bind("accel", "wakeCalendar",
-             boolean(&AccelConfig::wakeCalendar)),
         bind("accel", "clockHz",
              [](Scenario &s, const ConfFile &cf, const char *sec,
                 const char *key) {

@@ -41,6 +41,7 @@ Accelerator::Accelerator(const AcceleratorSpec &spec,
     ctx_.serial = &serial_;
     ctx_.customKey = static_cast<bool>(spec_.orderKey);
     ctx_.lastGlobalProgress = &lastProgressCycle_;
+    ctx_.calendar = &calendar_;
 
     buildPipelines();
     registerStats();
@@ -99,6 +100,12 @@ Accelerator::registerStats()
 void
 Accelerator::buildPipelines()
 {
+    // Stage slots come first in the wake calendar, then one timer slot
+    // per task queue; every component's wake edge lists the slots that
+    // read it (docs/fast-forward.md has the table).
+    auto queueSlot = [this](size_t q) {
+        return static_cast<uint32_t>(stages_.size() + q);
+    };
     for (size_t s = 0; s < spec_.pipelines.size(); ++s) {
         const BdfgGraph &g = spec_.pipelines[s];
         // Actor ids are graph-local and small, so the per-graph lookup
@@ -119,13 +126,17 @@ Accelerator::buildPipelines()
         for (uint32_t p = 0; p < cfg_.pipelinesPerSet; ++p) {
             // One stage per actor for this replica.
             std::vector<Stage *> local(max_id + 1, nullptr);
+            std::vector<uint32_t> slot(max_id + 1, 0);
             for (const Actor &a : g.actors()) {
                 auto stage = makeStage(a, ctx_, static_cast<TaskSetId>(s),
                                        p, spec_.orderKey, groups[a.id]);
                 stage->setTraceLabel(g.name() + "/" + std::to_string(p) +
                                      "/" + a.name);
                 local[a.id] = stage.get();
+                slot[a.id] = static_cast<uint32_t>(stages_.size());
+                stage->setSlot(slot[a.id]);
                 stages_.push_back(std::move(stage));
+                subscribeStage(a, slot[a.id], s, groups[a.id]);
             }
             // One registered FIFO per edge.
             for (const BdfgEdge &e : g.edges()) {
@@ -134,8 +145,45 @@ Accelerator::buildPipelines()
                 SimFifo<Token> *f = fifos_.back().get();
                 local[e.from.actor]->bindOutput(e.from.port, f);
                 local[e.to.actor]->bindInput(f);
+                f->onPush().subscribe(calendar_, slot[e.to.actor]);
+                f->onUnfill().subscribe(calendar_, slot[e.from.actor]);
             }
         }
+    }
+    for (size_t q = 0; q < queues_.size(); ++q) {
+        queues_[q]->onChange().subscribe(calendar_, queueSlot(q));
+        liveness_->onOwnerChange().subscribe(calendar_, queueSlot(q));
+        if (queues_[q]->decl().priority)
+            liveness_->onWindowMove().subscribe(calendar_, queueSlot(q));
+    }
+    calendar_.reset(stages_.size(), queues_.size());
+}
+
+void
+Accelerator::subscribeStage(const Actor &a, uint32_t slot, size_t set,
+                            RendezvousGroup *group)
+{
+    liveness_->onOwnerChange().subscribe(calendar_, slot);
+    switch (a.kind) {
+      case ActorKind::Source:
+        queues_[set]->onOccupied().subscribe(calendar_, slot);
+        if (queues_[set]->decl().priority)
+            liveness_->onWindowMove().subscribe(calendar_, slot);
+        break;
+      case ActorKind::Enqueue:
+        // Retry enqueues bypass the capacity gate.
+        if (!a.retryEnqueue)
+            queues_[a.enqueueSet]->onSpace().subscribe(calendar_, slot);
+        break;
+      case ActorKind::AllocRule:
+        engines_[a.rule]->onLaneFreed().subscribe(calendar_, slot);
+        break;
+      case ActorKind::Rendezvous:
+        // Lane resolves are watched per waiter, from the stage's tick.
+        group->onMinChange().subscribe(calendar_, slot);
+        break;
+      default:
+        break;
     }
 }
 
@@ -173,27 +221,6 @@ Accelerator::done() const
     return tracker_.empty() && hostPos_ >= spec_.initial.size();
 }
 
-uint64_t
-Accelerator::nextWakeCycle(uint64_t cycle) const
-{
-    // The deadlock watchdog and the cycle wall cap every skip, so a
-    // wedged machine panics at exactly the cycle the per-cycle loop
-    // would reach, with the same message.
-    uint64_t wake = std::min(lastProgressCycle_ + deadlockThreshold_ + 1,
-                             cfg_.maxCycles);
-    for (const auto &s : stages_)
-        wake = std::min(wake, s->nextWakeCycle(cycle));
-    for (const auto &q : queues_)
-        wake = std::min(wake, q->nextWakeCycle(cycle));
-    // Host-fed injection fires at multiples of hostInterval. In
-    // pre-loaded mode (hostBatch == 0) a stalled host implies a full
-    // queue, which only drains via pipeline progress — no wake.
-    if (hostPos_ < spec_.initial.size() && cfg_.hostBatch > 0)
-        wake = std::min(
-            wake, (cycle / cfg_.hostInterval + 1) * cfg_.hostInterval);
-    return wake;
-}
-
 RunResult
 Accelerator::run()
 {
@@ -211,9 +238,18 @@ Accelerator::run()
         for (auto &q : queues_)
             queue_tracks.push_back("queue." + q->decl().name);
 
-    calendar_.reset(stages_.size() + queues_.size());
+    const size_t nstages = stages_.size();
+    calendar_.reset(nstages, queues_.size());
+    accounted_.assign(nstages, cycle);
 
     TickPerf &perf = res.tickPerf;
+    // A calendar slot's own wake cycle, asked at the current cycle.
+    auto wakeOf = [&](uint32_t slot) {
+        ++perf.wakeRecomputes;
+        return slot < nstages
+                   ? stages_[slot]->nextWakeCycle(cycle)
+                   : queues_[slot - nstages]->nextWakeCycle(cycle);
+    };
     for (;; ++cycle) {
         ++perf.ticks;
         if (cycle == saveCycle_ && !saveDone_) {
@@ -221,9 +257,20 @@ Accelerator::run()
             // happened yet, so the restored run replays it in full.
             cycle_ = cycle;
             saveDone_ = true;
+            settleStages(cycle);
             saveHook_();
         }
-        size_t host_before = hostPos_;
+        // Due timers first: a host push below re-dirties a queue slot
+        // but must not swallow the visibility it was armed for.
+        calendar_.fireDue(cycle, [&](uint32_t slot) {
+            if (slot < nstages) {
+                calendar_.wake(slot);
+            } else {
+                // A queued task turned visible: offer it to the sources.
+                queues_[slot - nstages]->onOccupied().raise();
+                calendar_.wake(slot);
+            }
+        });
         hostTick(cycle);
         if (cfg_.tracer && cfg_.tracer->active(cycle)) {
             for (size_t i = 0; i < queues_.size(); ++i)
@@ -231,32 +278,36 @@ Accelerator::run()
                     queue_tracks[i], "depth", cycle,
                     static_cast<double>(queues_[i]->occupancy()));
         }
-        bool any_busy = false;
-        bool any_moved = false;
-        perf.stageVisits += stages_.size();
         uint64_t busy_this_tick = 0;
-        for (auto &stage : stages_) {
-            stage->tick(cycle);
-            if (stage->wasBusy()) {
+        calendar_.sweep([&](uint32_t i) {
+            Stage &stage = *stages_[i];
+            if (cycle > accounted_[i])
+                stage.chargeSkipped(cycle - accounted_[i]);
+            accounted_[i] = cycle + 1;
+            stage.tick(cycle);
+            ++perf.stageVisits;
+            if (stage.wasBusy())
                 ++busy_this_tick;
-                any_busy = true;
+            // fastForward=false keeps every stage awake: the
+            // every-stage, every-cycle equivalence oracle.
+            if (!cfg_.fastForward || !stage.canSleep()) {
+                calendar_.stayAwake(i);
+                return;
             }
-            if (stage->movedToken())
-                any_moved = true;
-        }
+            calendar_.arm(i, wakeOf(i));
+            if (stage.waitsOnMshr())
+                mem_.mshrWaiters().subscribe(calendar_, i);
+        });
         busyStageCycles_ += busy_this_tick;
         // Interval sampling: busy stages only show up at executed
         // ticks (skipped stretches are no-progress by construction),
         // so accumulating here covers every busy cycle in a window.
         if (busy_this_tick && inSampleWindow(cycle))
             sampledBusyCycles_ += busy_this_tick;
-        if (any_busy)
+        if (busy_this_tick)
             lastProgressCycle_ = cycle;
-        // Anything that acted this tick can have rescheduled any
-        // component's wake-up (a popped FIFO, a drained MSHR, a host
-        // push); consecutive no-progress ticks cannot.
-        if (any_busy || any_moved || hostPos_ != host_before)
-            calendar_.invalidateAll();
+        if (cfg_.fastForward)
+            calendar_.refreshDirty(wakeOf);
         if (done())
             break;
         if (cycle - lastProgressCycle_ > deadlockThreshold_) {
@@ -278,49 +329,32 @@ Accelerator::run()
         if (cycle >= cfg_.maxCycles)
             fatal("accelerator '", spec_.name, "' exceeded the cycle wall");
 
-        // Idle-cycle fast-forward: this cycle neither fired a stage
-        // nor buffered a token, so until the earliest wake-up the
-        // machine would replay the exact same no-progress tick. Jump
-        // there, charging the skipped cycles to the same stall/idle
-        // counters (and per-cycle retry stats) the replayed ticks
-        // would have produced, and replaying the tracer's queue-depth
-        // samples (occupancy cannot change over the stretch).
-        if (cfg_.fastForward && !any_busy && !any_moved) {
+        // Global fast-forward, the all-asleep case: no stage ticks
+        // next cycle, so until the earliest timer the machine would
+        // replay the same no-progress cycle. Jump there; each stage
+        // charges its slept cycles when it next ticks (or is settled),
+        // and the tracer's queue-depth samples are replayed (occupancy
+        // cannot change over the stretch). The watchdog, the cycle
+        // wall and host injection bound the jump as arithmetic.
+        if (cfg_.fastForward && !calendar_.anyAwake()) {
             ++perf.wakeQueries;
-            uint64_t wake;
-            if (cfg_.wakeCalendar) {
-                // Watchdog, cycle wall and host injection are pure
-                // arithmetic — recomputed inline; only the
-                // per-component answers are worth caching.
-                wake = std::min(lastProgressCycle_ + deadlockThreshold_ +
-                                    1,
-                                cfg_.maxCycles);
-                wake = std::min(
-                    wake, calendar_.min(cycle, [&](size_t slot) {
-                        ++perf.wakeRecomputes;
-                        return componentWake(slot, cycle);
-                    }));
-                if (hostPos_ < spec_.initial.size() && cfg_.hostBatch > 0)
-                    wake = std::min(wake,
-                                    (cycle / cfg_.hostInterval + 1) *
-                                        cfg_.hostInterval);
-            } else {
-                perf.wakeRecomputes += stages_.size() + queues_.size();
-                wake = nextWakeCycle(cycle);
-            }
+            uint64_t wake =
+                std::min({lastProgressCycle_ + deadlockThreshold_ + 1,
+                          cfg_.maxCycles, calendar_.confirmedMin(wakeOf)});
+            // Host-fed injection fires at multiples of hostInterval.
+            // In pre-loaded mode (hostBatch == 0) a stalled host
+            // implies a full queue, which only a pop drains — and a
+            // pop keeps its source awake.
+            if (hostPos_ < spec_.initial.size() && cfg_.hostBatch > 0)
+                wake = std::min(wake, (cycle / cfg_.hostInterval + 1) *
+                                          cfg_.hostInterval);
             // An armed checkpoint bounds the skip so the save hook
-            // fires exactly at its cycle. Landing early on a
-            // no-progress stretch charges identical statistics (the
-            // fast-forward byte-identity contract), so the restored
-            // and uninterrupted runs still match bit for bit.
+            // fires exactly at its cycle.
             if (!saveDone_ && saveCycle_ > cycle)
                 wake = std::min(wake, saveCycle_);
             if (wake > cycle + 1) {
                 ++perf.ffSkips;
-                uint64_t skipped = wake - 1 - cycle;
-                perf.skippedCycles += skipped;
-                for (auto &stage : stages_)
-                    stage->chargeSkipped(skipped);
+                perf.skippedCycles += wake - 1 - cycle;
                 if (cfg_.tracer) {
                     for (uint64_t sc = cycle + 1; sc < wake; ++sc) {
                         if (!cfg_.tracer->active(sc))
@@ -336,6 +370,7 @@ Accelerator::run()
             }
         }
     }
+    settleStages(cycle + 1);
 
     perf.arenaAllocs = arena_.allocations();
     perf.arenaBytes = arena_.allocatedBytes();
@@ -414,6 +449,17 @@ Accelerator::run()
         res.groups.push_back(std::move(sg));
     }
     return res;
+}
+
+void
+Accelerator::settleStages(uint64_t cycle)
+{
+    for (size_t i = 0; i < stages_.size(); ++i) {
+        if (cycle > accounted_[i]) {
+            stages_[i]->chargeSkipped(cycle - accounted_[i]);
+            accounted_[i] = cycle;
+        }
+    }
 }
 
 uint64_t

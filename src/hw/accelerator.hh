@@ -21,9 +21,9 @@
 #include "hw/config.hh"
 #include "hw/rendezvous_group.hh"
 #include "hw/stage.hh"
-#include "hw/wake_calendar.hh"
 #include "support/arena.hh"
 #include "support/stats_registry.hh"
+#include "support/wake.hh"
 
 namespace apir {
 
@@ -114,8 +114,9 @@ class Accelerator
      * Serialize every machine-state section: core loop state, live
      * keys, liveness, rule engines, task queues, pipeline FIFOs,
      * rendezvous groups, stages, and the memory system. The wake
-     * calendar is a pure cache (reset at run() start) and the arena is
-     * an allocator — neither carries simulated state.
+     * calendar is scheduling state (reset at run() start, with every
+     * stage awake) and the arena is an allocator — neither carries
+     * simulated state.
      */
     void ckptSave(ckpt::Writer &w) const;
 
@@ -138,28 +139,19 @@ class Accelerator
     bool done() const;
 
     /**
-     * Earliest cycle > `cycle` at which any component can act on its
-     * own: stage wake-ups (FIFO visibility, memory completions,
-     * rendezvous fallback timers), task-queue visibility, the next
-     * host injection, the deadlock watchdog and the cycle wall. The
-     * last two make the result always finite, so a fully wedged
-     * machine fast-forwards straight to its panic cycle.
+     * Subscribe stage `slot` (actor `a`, task set `set`, rendezvous
+     * `group` or null) to the wake edges of what its tick reads.
      */
-    uint64_t nextWakeCycle(uint64_t cycle) const;
+    void subscribeStage(const Actor &a, uint32_t slot, size_t set,
+                        RendezvousGroup *group);
 
     /**
-     * One component's contribution to nextWakeCycle: slots
-     * [0, numStages) are stages, the rest are task queues. The
-     * incremental wake calendar re-asks these one at a time instead
-     * of rescanning everything.
+     * Charge every stage's slept cycles before `cycle`: a sleeper
+     * charges lazily when it next ticks, so the counts are settled
+     * before anything reads or saves them (checkpoint save hook, the
+     * end-of-run snapshot).
      */
-    uint64_t
-    componentWake(size_t slot, uint64_t cycle) const
-    {
-        if (slot < stages_.size())
-            return stages_[slot]->nextWakeCycle(cycle);
-        return queues_[slot - stages_.size()]->nextWakeCycle(cycle);
-    }
+    void settleStages(uint64_t cycle);
 
     const AcceleratorSpec &spec_;
     AccelConfig cfg_;
@@ -181,7 +173,9 @@ class Accelerator
     std::vector<std::unique_ptr<RendezvousGroup>> rdvGroups_;
     std::vector<std::unique_ptr<Stage>> stages_;
     uint64_t serial_ = 0;
-    WakeCalendar calendar_; //!< cached stage/queue wakes (idle ticks)
+    WakeCalendar calendar_; //!< who ticks when (stage and queue slots)
+    /** Per stage: cycles before this are charged (tick or sleep). */
+    std::vector<uint64_t> accounted_;
     HwContext ctx_;
     size_t hostPos_ = 0;
     uint64_t lastProgressCycle_ = 0;

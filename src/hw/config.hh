@@ -56,24 +56,17 @@ struct AccelConfig
     /** Hard wall for simulation length; exceeded means a hang. */
     uint64_t maxCycles = 1ull << 36;
     /**
-     * Skip provably-inactive cycle stretches: when a tick fires no
-     * stage and moves no token, jump the clock to the earliest
-     * component wake-up (FIFO visibility, memory completion, host
-     * injection, rendezvous fallback, watchdog) instead of ticking
-     * through dead cycles one by one. Every statistic, histogram and
-     * trace event is bit-identical to the 1-cycle-at-a-time loop;
-     * --no-fast-forward in the benches is the escape hatch.
+     * Activity-driven scheduling (docs/fast-forward.md): a stage whose
+     * tick fires nothing and moves no token sleeps until its own
+     * wake-up (FIFO visibility, memory completion, rendezvous
+     * fallback) or a wake edge from a component it reads; when every
+     * stage sleeps, the clock jumps to the earliest wake-up (bounded
+     * by host injection and the watchdog). Every statistic, histogram
+     * and trace event is bit-identical to the every-stage,
+     * every-cycle loop that false selects — the equivalence oracle;
+     * --no-fast-forward in the benches.
      */
     bool fastForward = true;
-    /**
-     * Cache per-component wake-ups in an incremental calendar instead
-     * of re-scanning every stage and queue on each idle tick
-     * (docs/tick-performance.md). Cached wakes can only be early,
-     * never late, so results are identical either way; false forces
-     * the full-rescan reference path the fuzz harness diffs against.
-     * Config-file spelling: accel.wakeCalendar.
-     */
-    bool wakeCalendar = true;
     /** FPGA clock, for converting cycles to seconds (200 MHz). */
     double clockHz = 200e6;
 

@@ -36,10 +36,20 @@ class SimFifo
         APIR_ASSERT(capacity >= 1, "FIFO capacity must be >= 1");
     }
 
-    bool full() const { return size() >= capacity_; }
-    bool empty() const { return size() == 0; }
+    // The side deque fills only behind a full ring, and every pop
+    // refills the ring from it, so the ring alone answers these two.
+    bool full() const { return tail_ - head_ >= capacity_; }
+    bool empty() const { return tail_ == head_; }
     size_t size() const { return (tail_ - head_) + side_.size(); }
     uint32_t capacity() const { return capacity_; }
+
+    /**
+     * Wake edges: every push wakes the consumer stage, and a pop that
+     * leaves a full FIFO wakes the producer — a producer reads its
+     * output only through full().
+     */
+    WakeEdge &onPush() { return onPush_; }
+    WakeEdge &onUnfill() { return onUnfill_; }
 
     /** True if the head item is visible at `cycle`. */
     bool
@@ -74,6 +84,7 @@ class SimFifo
             ++tail_;
         }
         maxOccupancy_ = std::max<uint64_t>(maxOccupancy_, size());
+        onPush_.raise();
     }
 
     const T &
@@ -99,6 +110,8 @@ class SimFifo
     pop(uint64_t cycle)
     {
         APIR_ASSERT(canPop(cycle), "pop of unavailable item");
+        if (full())
+            onUnfill_.raise();
         T item = std::move(ring_[head_ & mask_].item);
         ++head_;
         // Refill from the overflow deque so the ring stays the front
@@ -199,6 +212,8 @@ class SimFifo
     uint64_t mask_ = 0;      //!< ring_.size() - 1
     std::deque<std::pair<uint64_t, T>> side_; //!< elastic overflow
     uint64_t maxOccupancy_ = 0;
+    WakeEdge onPush_;
+    WakeEdge onUnfill_;
 };
 
 } // namespace apir

@@ -75,14 +75,18 @@ LivenessUnit::refreshOwner()
     std::optional<HwOrderKey> want;
     if (pinOldest_ && !retrying_.empty() && !tracker_.empty())
         want = tracker_.min();
-    if (want == owner_)
+    if (want == owner_) {
+        if (owner_)
+            onWindowMove_.raise();
         return;
+    }
     // Ownership moved (the old owner committed or died, or an older
     // squash appeared): its line reservations are void.
     mem_.unpinAll();
     owner_ = want;
     if (owner_)
         ++ownerChanges_;
+    onOwnerChange_.raise();
 }
 
 uint64_t

@@ -38,6 +38,7 @@
 
 #include "hw/live_keys.hh"
 #include "support/stats.hh"
+#include "support/wake.hh"
 
 namespace apir {
 
@@ -138,6 +139,17 @@ class LivenessUnit
     uint64_t backoffDelay(const HwOrderKey &key, uint32_t streak,
                           bool expeditable) const;
 
+    /**
+     * Wake edges. `onOwnerChange` (every stage and queue) fires when
+     * ownership moves or pinning engages or ends: the owner test gates
+     * elastic pushes, LSU entry and issue ports and cache pins
+     * everywhere. `onWindowMove` (priority queues and their sources)
+     * fires on any other live-set change while pinned, which can move
+     * the expedite window a parked retry's visibility depends on.
+     */
+    WakeEdge &onOwnerChange() { return onOwnerChange_; }
+    WakeEdge &onWindowMove() { return onWindowMove_; }
+
     uint64_t retryActivations() const { return squashRetries_.value(); }
     uint64_t maxRetryStreak() const { return maxStreak_; }
 
@@ -172,6 +184,8 @@ class LivenessUnit
     Counter backoffStallCycles_; //!< total backoff delay imposed
     Counter ownerChanges_;       //!< pin-ownership acquisitions
     uint64_t maxStreak_ = 0;     //!< deepest retry streak seen
+    WakeEdge onOwnerChange_;
+    WakeEdge onWindowMove_;
 };
 
 } // namespace apir

@@ -15,6 +15,7 @@
 #include <set>
 
 #include "hw/live_keys.hh"
+#include "support/wake.hh"
 
 namespace apir {
 
@@ -26,7 +27,13 @@ class RendezvousGroup
         : arenaRef_(arena),
           waiting_(arenaRef_.allocator<HwOrderKey>()) {}
 
-    void insert(const HwOrderKey &k) { waiting_.insert(k); }
+    void
+    insert(const HwOrderKey &k)
+    {
+        if (waiting_.empty() || k < *waiting_.begin())
+            onMinChange_.raise();
+        waiting_.insert(k);
+    }
 
     void
     erase(const HwOrderKey &k)
@@ -35,7 +42,15 @@ class RendezvousGroup
         APIR_ASSERT(it != waiting_.end(),
                     "rendezvous group lost a waiter");
         waiting_.erase(it);
+        if (waiting_.empty() || k < *waiting_.begin())
+            onMinChange_.raise();
     }
+
+    /**
+     * Wake edge of the replicas: fires when the minimum waiting key
+     * changes, the only thing isMin() reads.
+     */
+    WakeEdge &onMinChange() { return onMinChange_; }
 
     bool empty() const { return waiting_.empty(); }
 
@@ -53,6 +68,7 @@ class RendezvousGroup
   private:
     ArenaRef arenaRef_; //!< declared before waiting_ (allocator source)
     HwOrderKeySet waiting_;
+    WakeEdge onMinChange_;
 };
 
 } // namespace apir

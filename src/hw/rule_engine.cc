@@ -8,7 +8,7 @@
 namespace apir {
 
 RuleEngine::RuleEngine(const RuleSpec &spec, uint32_t lanes)
-    : spec_(spec), lanes_(lanes)
+    : spec_(spec), lanes_(lanes), onResolve_(lanes)
 {
     APIR_ASSERT(lanes >= 1, "rule engine needs at least one lane");
 }
@@ -53,6 +53,7 @@ RuleEngine::broadcast(const EventData &ev, uint32_t exclude_lane)
             l.resolved = true;
             l.verdict = clause.action;
             ++clauseFires_;
+            onResolve_[lane].raiseOnce();
             break;
         }
     }
@@ -87,6 +88,7 @@ RuleEngine::fireOtherwise(uint32_t lane, bool fallback)
     ++otherwiseFires_;
     if (fallback)
         ++fallbackFires_;
+    onResolve_[lane].raiseOnce();
 }
 
 void
@@ -96,7 +98,8 @@ RuleEngine::release(uint32_t lane)
                 "release of invalid lane");
     lanes_[lane].valid = false;
     APIR_ASSERT(inUse_ > 0, "lane accounting underflow");
-    --inUse_;
+    if (inUse_-- == lanes_.size())
+        onLaneFreed_.raise();
 }
 
 void

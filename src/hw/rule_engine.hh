@@ -60,14 +60,19 @@ class RuleEngine
     void release(uint32_t lane);
 
     /**
-     * Fast-forward wake contract: the engine is purely reactive — a
-     * lane's state changes only when an event is broadcast, an
-     * otherwise clause is fired at it, or the rendezvous releases it,
-     * all of which are other components' progress. It never schedules
-     * its own wake-up (the otherwise *timeout* lives in the
-     * rendezvous stages, which count it against global progress).
+     * Wake edges. The engine is purely reactive — it never schedules
+     * its own wake-up (the otherwise *timeout* lives in the rendezvous
+     * stages) — so its readers learn of changes only through these.
+     * `onResolve(lane)` fires once when a clause or otherwise fire
+     * resolves the lane; the rendezvous holding its waiter subscribes
+     * on every tick the waiter is unresolved. `onLaneFreed` (this
+     * rule's alloc stages) fires when a release frees a lane in a
+     * full lane file: a stalled allocator reads only "is any lane
+     * free". An alloc needs no edge: it only takes lanes, and no
+     * waiter reads a fresh lane.
      */
-    uint64_t nextWakeCycle(uint64_t) const { return kNeverWake; }
+    WakeEdge &onResolve(uint32_t lane) { return onResolve_[lane]; }
+    WakeEdge &onLaneFreed() { return onLaneFreed_; }
 
     /**
      * Account `n` skipped-cycle allocation failures at once: an
@@ -126,6 +131,8 @@ class RuleEngine
     Counter clauseFires_;
     Counter otherwiseFires_;
     Counter fallbackFires_;
+    std::vector<WakeEdge> onResolve_; //!< per lane, one-shot
+    WakeEdge onLaneFreed_;
 };
 
 } // namespace apir

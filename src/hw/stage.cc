@@ -18,10 +18,12 @@ Stage::tick(uint64_t cycle)
     fired_ = false;
     hasWork_ = false;
     movedToken_ = false;
+    retryNext_ = false;
     doTick(cycle);
+    stalled_ = !fired_ && (hasWork_ || (in_ && !in_->empty()));
     if (fired_)
         ++st_.busy;
-    else if (hasWork_ || (in_ && !in_->empty()))
+    else if (stalled_)
         ++st_.stall;
     else
         ++st_.idle;
@@ -70,8 +72,12 @@ SourceStage::doTick(uint64_t cycle)
         return;
     }
     auto task = queue(set_).pop(cycle, sourceId_);
-    if (!task)
-        return; // idle: nothing granted this cycle
+    if (!task) {
+        // Idle: nothing granted this cycle. A grant lost to another
+        // source frees up next cycle with no edge to announce it.
+        retryNext_ = queue(set_).grantLimited(cycle);
+        return;
+    }
     Token tok;
     tok.words = task->data;
     tok.index = task->index;
@@ -374,19 +380,19 @@ uint64_t
 MemStage::nextWakeCycle(uint64_t cycle) const
 {
     uint64_t wake = Stage::nextWakeCycle(cycle);
+    bool unissued = false;
     for (const Entry &e : entries_) {
-        if (e.issued) {
-            // A completion in the future emits then; one already due
-            // is blocked on the output FIFO (or in-order head), which
-            // only downstream progress clears.
-            if (e.done > cycle)
-                wake = std::min(wake, e.done);
-        } else {
-            // Unissued entries retry against the memory system every
-            // cycle; the retry provably fails until an MSHR frees.
-            wake = std::min(wake, ctx_.mem->nextWakeCycle(cycle));
-        }
+        // A completion in the future emits then; one already due is
+        // blocked on the output FIFO (or in-order head), which only
+        // downstream progress clears.
+        if (e.issued && e.done > cycle)
+            wake = std::min(wake, e.done);
+        unissued |= !e.issued;
     }
+    // Unissued entries retry against the memory system every cycle;
+    // the retry provably fails until an MSHR frees.
+    if (unissued)
+        wake = std::min(wake, ctx_.mem->nextWakeCycle(cycle));
     return wake;
 }
 
@@ -466,12 +472,15 @@ RendezvousStage::doTick(uint64_t cycle)
     // The otherwise trigger (Figure 8 (4)): the minimum task index at
     // this rendezvous across all pipelines is broadcast to the rule
     // lanes; matching waiters resolve with the rule's otherwise value.
+    // A waiter still unresolved after that reads its lane: watch it.
     for (Token &t : entries_) {
         if (t.lane == kNoLane)
             continue;
         RuleEngine &eng = engine(t.laneRule);
         if (!eng.resolved(t.lane) && group_->isMin(tokenKey(t)))
             eng.fireOtherwise(t.lane, false);
+        if (!eng.resolved(t.lane) && ctx_.calendar)
+            eng.onResolve(t.lane).subscribe(*ctx_.calendar, slot_);
     }
 
     // Safety net: if the whole accelerator has been wedged past

@@ -47,6 +47,8 @@ struct HwContext
      * its way.
      */
     const uint64_t *lastGlobalProgress = nullptr;
+    /** The accelerator's scheduler (null in bare-stage tests). */
+    WakeCalendar *calendar = nullptr;
 };
 
 /** Busy / stalled / idle cycle counts of one stage. */
@@ -67,6 +69,8 @@ class Stage
 
     void bindInput(SimFifo<Token> *f) { in_ = f; }
     void bindOutput(uint16_t port, SimFifo<Token> *f) { out_[port] = f; }
+    /** This stage's slot in ctx.calendar. */
+    void setSlot(uint32_t slot) { slot_ = slot; }
 
     /** Advance one cycle; updates busy/stall/idle accounting. */
     void tick(uint64_t cycle);
@@ -85,6 +89,18 @@ class Stage
     bool movedToken() const { return movedToken_; }
 
     /**
+     * May the stage sleep after its last tick? Only if that tick fired
+     * nothing, buffered nothing and lost no same-cycle arbitration:
+     * then, until a wake edge or its nextWakeCycle(), every tick would
+     * replay the same no-progress outcome (docs/fast-forward.md).
+     */
+    bool
+    canSleep() const
+    {
+        return !fired_ && !movedToken_ && !retryNext_;
+    }
+
+    /**
      * Earliest cycle > `cycle` at which this stage could act without
      * any other component making progress (see support/wake.hh). The
      * base contract is input-FIFO visibility: a non-empty input whose
@@ -94,19 +110,22 @@ class Stage
     virtual uint64_t nextWakeCycle(uint64_t cycle) const;
 
     /**
-     * Charge `cycles` skipped idle cycles exactly as the per-cycle
-     * loop would have: stall vs idle classified from the last
-     * (no-progress) tick's outcome, which is provably constant over a
-     * skipped stretch, plus any deterministic per-cycle retry
-     * counters (MSHR rejects, lane-allocation failures).
+     * Is the stage asleep on an MSHR: a rejected access that a fill
+     * landing in the cache could let through?
+     */
+    virtual bool waitsOnMshr() const { return false; }
+
+    /**
+     * Charge `cycles` slept cycles exactly as the per-cycle loop would
+     * have: stall vs idle as the last (no-progress) tick classified
+     * it — constant while the stage sleeps, but not after the edge
+     * that woke it — plus any deterministic per-cycle retry counters
+     * (MSHR rejects, lane-allocation failures).
      */
     void
     chargeSkipped(uint64_t cycles)
     {
-        if (hasWork_ || (in_ && !in_->empty()))
-            st_.stall += cycles;
-        else
-            st_.idle += cycles;
+        (stalled_ ? st_.stall : st_.idle) += cycles;
         chargeSkippedRetries(cycles);
     }
 
@@ -189,11 +208,14 @@ class Stage
     HwContext &ctx_;
     SimFifo<Token> *in_ = nullptr;
     SimFifo<Token> *out_[2] = {nullptr, nullptr};
+    uint32_t slot_ = 0;
     StageStats st_;
     bool fired_ = false;      //!< did useful work this cycle
     bool hasWork_ = false;    //!< had work but could not complete it
     bool movedToken_ = false; //!< buffered a token without firing
     bool lastBusy_ = false;
+    bool stalled_ = false;   //!< last tick classified as stall
+    bool retryNext_ = false; //!< lost an arbitration that ends next cycle
     std::string traceLabel_;
 };
 
@@ -258,6 +280,7 @@ class MemStage : public Stage
     MemStage(const Actor &a, HwContext &ctx);
 
     uint64_t nextWakeCycle(uint64_t cycle) const override;
+    bool waitsOnMshr() const override { return issueRejects_ > 0; }
 
   protected:
     void doTick(uint64_t cycle) override;

@@ -51,6 +51,7 @@ TaskQueueUnit::push(uint64_t cycle, TaskSetId set_check,
     t.index = childIndex(decl_, parent, counter_);
     t.retries = retries;
 
+    bool was_empty = empty();
     HwOrderKey key = tracker_.keyOf(t);
     tracker_.insert(key);
     // A retry activation registers with the liveness subsystem and
@@ -107,6 +108,20 @@ TaskQueueUnit::push(uint64_t cycle, TaskSetId set_check,
     ++pushes_;
     maxOccupancy_ = std::max<uint64_t>(maxOccupancy_, occupancy());
     occHist_.sample(static_cast<double>(occupancy()));
+    onChange_.raise();
+    if (was_empty)
+        onOccupied_.raise();
+}
+
+void
+TaskQueueUnit::popped(bool was_full)
+{
+    ++pops_;
+    onChange_.raise();
+    if (empty())
+        onOccupied_.raise();
+    if (was_full)
+        onSpace_.raise();
 }
 
 void
@@ -177,9 +192,10 @@ TaskQueueUnit::pop(uint64_t cycle, uint32_t source_id)
         if (!src)
             return std::nullopt;
         SwTask t = it->second.task;
+        bool was_full = !canPush();
         src->erase(it);
         ++heapPopsThisCycle_;
-        ++pops_;
+        popped(was_full);
         return t;
     }
 
@@ -194,10 +210,24 @@ TaskQueueUnit::pop(uint64_t cycle, uint32_t source_id)
         if (!banks_[b].canPop(cycle))
             continue;
         bankLastPop_[b] = cycle;
-        ++pops_;
-        return banks_[b].pop(cycle);
+        bool was_full = !canPush();
+        SwTask t = banks_[b].pop(cycle);
+        popped(was_full);
+        return t;
     }
     return std::nullopt;
+}
+
+bool
+TaskQueueUnit::grantLimited(uint64_t cycle) const
+{
+    if (decl_.priority)
+        return heapPopCycle_ == cycle &&
+               heapPopsThisCycle_ >= banks_.size();
+    for (size_t b = 0; b < banks_.size(); ++b)
+        if (bankLastPop_[b] == cycle && banks_[b].canPop(cycle))
+            return true;
+    return false;
 }
 
 uint64_t
@@ -240,6 +270,15 @@ TaskQueueUnit::nextWakeCycle(uint64_t cycle) const
             wake = std::min(wake, v);
     }
     return wake;
+}
+
+bool
+TaskQueueUnit::empty() const
+{
+    if (decl_.priority)
+        return ready_.empty() && parked_.empty();
+    return std::all_of(banks_.begin(), banks_.end(),
+                       [](const auto &b) { return b.empty(); });
 }
 
 size_t

@@ -79,6 +79,26 @@ class TaskQueueUnit
      */
     uint64_t nextWakeCycle(uint64_t cycle) const;
 
+    /**
+     * Did this cycle's one-grant-per-bank arbitration turn away a pop
+     * that a fresh cycle would serve? The loser must retry next cycle:
+     * the grant frees up with no edge to announce it.
+     */
+    bool grantLimited(uint64_t cycle) const;
+
+    /**
+     * Wake edges. `onOccupied` (the sources) fires when occupancy
+     * crosses zero, which flips a blocked source between stall and
+     * idle; newly visible tasks reach the sources through the queue's
+     * own timer instead. `onSpace` (non-retry Enqueue stages) fires
+     * when a pop lets a full queue accept pushes. `onChange` (the
+     * queue's calendar slot) fires on every push and pop, either of
+     * which can move nextWakeCycle().
+     */
+    WakeEdge &onOccupied() { return onOccupied_; }
+    WakeEdge &onSpace() { return onSpace_; }
+    WakeEdge &onChange() { return onChange_; }
+
     uint64_t pushes() const { return pushes_.value(); }
     uint64_t pops() const { return pops_.value(); }
     size_t occupancy() const;
@@ -127,6 +147,11 @@ class TaskQueueUnit
      */
     void promoteUpTo(uint64_t cycle) const;
 
+    /** Count a pop and raise its wake edges. */
+    void popped(bool was_full);
+
+    bool empty() const;
+
     /**
      * Is a *parked* entry poppable at `cycle` anyway? Only through the
      * owner expedite: when ownership shifts onto a parked retry (its
@@ -168,6 +193,9 @@ class TaskQueueUnit
     Counter retryOverflows_; //!< retry pushes admitted past capacity
     uint64_t maxOccupancy_ = 0;
     Histogram occHist_;
+    WakeEdge onOccupied_;
+    WakeEdge onSpace_;
+    WakeEdge onChange_;
 };
 
 } // namespace apir

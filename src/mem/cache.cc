@@ -69,6 +69,7 @@ Cache::access(uint64_t cycle, uint64_t addr, bool is_write,
         ++pinBypasses_;
         uint64_t done = qpi_.transfer(cycle, cfg_.lineBytes);
         mshrDone_.push_back(done);
+        onMshrAlloc_.raiseOnce();
         return done;
     }
 
@@ -108,6 +109,7 @@ Cache::access(uint64_t cycle, uint64_t addr, bool is_write,
     } else {
         mshrDone_.push_back(done);
     }
+    onMshrAlloc_.raiseOnce();
 
     if (cfg_.prefetchNextLine) {
         // Next-line prefetch: fill line N+1 unless it is already

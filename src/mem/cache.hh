@@ -110,6 +110,15 @@ class Cache
      */
     void chargeMshrRejects(uint64_t n) { mshrRejects_ += n; }
 
+    /**
+     * One-shot wake edge of sleeping load/store units that hold
+     * unissued entries: fires when a miss takes an MSHR (regular or
+     * the reserve pin slot), whose fill can turn their rejected
+     * access into a hit. MSHR frees are timed (nextMshrFreeCycle), so
+     * they need no edge. A waiter re-subscribes each time it sleeps.
+     */
+    WakeEdge &onMshrAlloc() { return onMshrAlloc_; }
+
     /** Register this cache's statistics under `component`. */
     void registerStats(StatRegistry &reg,
                        const std::string &component) const;
@@ -162,6 +171,7 @@ class Cache
     Counter linePins_;
     Counter pinBypasses_;
     Counter pinSlotFills_;
+    WakeEdge onMshrAlloc_;
 };
 
 } // namespace apir

@@ -103,6 +103,9 @@ class MemorySystem
      */
     uint64_t nextWakeCycle(uint64_t cycle) const;
 
+    /** Sleeping LSUs waiting on an MSHR: see Cache::onMshrAlloc. */
+    WakeEdge &mshrWaiters() { return cache_->onMshrAlloc(); }
+
     /** Fast-forward accounting: see Cache::chargeMshrRejects. */
     void chargeMshrRejects(uint64_t n) { cache_->chargeMshrRejects(n); }
 

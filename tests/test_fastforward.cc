@@ -5,10 +5,9 @@
  * results — cycle counts, every statistic in every component group,
  * the firing trace, and the Chrome trace stream — across pipeline
  * shapes (memory-bound, host-fed, rule-gated, expanding, priority
- * queues) and a fuzz sweep of random linear pipelines. Each design is
- * additionally run fast-forwarded with the incremental wake calendar
- * disabled (accel.wakeCalendar = false), pinning the cached-wake path
- * to the full-rescan reference. Also covers the deadlockCycles
+ * queues) and a fuzz sweep of random linear pipelines, plus the
+ * same-cycle / next-cycle wake rule of per-stage sleep on hand-built
+ * two-stage pipelines. Also covers the deadlockCycles
  * watchdog knob: validation, and the panic firing at the identical
  * simulated cycle in both modes.
  */
@@ -22,6 +21,8 @@
 #include <string>
 
 #include "bdfg/builder.hh"
+#include "bench_common.hh"
+#include "checkpoint/ckpt.hh"
 #include "hw/accelerator.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
@@ -42,6 +43,9 @@ bits(double v)
     return buf;
 }
 
+/** Hook run on the freshly built accelerator before run(). */
+using Prepare = std::function<void(Accelerator &)>;
+
 /**
  * Run the design once and fingerprint everything observable: the
  * summary scalars and every (component, statistic) pair of the final
@@ -50,7 +54,8 @@ bits(double v)
  */
 std::string
 runFingerprint(const SpecFactory &make, AccelConfig cfg, bool ff,
-               std::string *traces = nullptr)
+               std::string *traces = nullptr,
+               const Prepare &prepare = nullptr)
 {
     setQuietLogging(true);
     MemorySystem mem(cfg.mem);
@@ -67,6 +72,8 @@ runFingerprint(const SpecFactory &make, AccelConfig cfg, bool ff,
     }
 
     Accelerator accel(spec, cfg, mem);
+    if (prepare)
+        prepare(accel);
     RunResult rr = accel.run();
 
     std::ostringstream os;
@@ -86,26 +93,18 @@ runFingerprint(const SpecFactory &make, AccelConfig cfg, bool ff,
 }
 
 /**
- * Assert that all three execution strategies agree byte-for-byte,
- * traces included: fast-forward with the wake calendar (the default),
- * fast-forward with the calendar disabled (full nextWakeCycle rescan
- * every idle tick), and the plain tick-every-cycle loop.
+ * Assert that the activity-driven loop (the default) and the plain
+ * every-stage, every-cycle loop agree byte-for-byte, traces included.
  */
 void
 expectEquivalent(const SpecFactory &make, const AccelConfig &cfg)
 {
-    std::string trace_on, trace_off, trace_nocal;
+    std::string trace_on, trace_off;
     std::string on = runFingerprint(make, cfg, true, &trace_on);
     std::string off = runFingerprint(make, cfg, false, &trace_off);
     EXPECT_EQ(on, off);
     EXPECT_EQ(trace_on, trace_off);
     EXPECT_FALSE(on.empty());
-
-    AccelConfig nocal = cfg;
-    nocal.wakeCalendar = false;
-    std::string rescan = runFingerprint(make, nocal, true, &trace_nocal);
-    EXPECT_EQ(on, rescan);
-    EXPECT_EQ(trace_on, trace_nocal);
 }
 
 // ------------------------------------------------- hand-built designs
@@ -309,6 +308,145 @@ TEST(FastForward, InOrderLsuIsBitIdentical)
     cfg.lsuInOrder = true;
     cfg.mem.bandwidthScale = 0.1;
     expectEquivalent(loadComputeStore(32), cfg);
+}
+
+// ------------------------------------------------ per-stage sleep
+
+/**
+ * Source -> Alu -> Sink fed one task every 7 cycles, with the actors
+ * listed producer-first (each consumer at a higher stage index than
+ * its producer) or consumer-first (each at a lower index). A push
+ * wakes a higher-index consumer in the same cycle — the every-cycle
+ * loop ticks it after the push, and it must count that cycle as a
+ * stall — and a lower-index consumer in the next one.
+ */
+SpecFactory
+twoStage(bool consumer_first)
+{
+    return [consumer_first](MemorySystem &) {
+        AcceleratorSpec spec;
+        spec.name = consumer_first ? "ffdown" : "ffup";
+        spec.sets = {{"t", TaskSetKind::ForEach, 0, 1}};
+        Actor src;
+        src.kind = ActorKind::Source;
+        src.name = "source";
+        src.latency = 1;
+        Actor alu;
+        alu.kind = ActorKind::Alu;
+        alu.name = "alu";
+        alu.latency = 3;
+        alu.compute = [](Token &t) { t.words[1] += t.words[0]; };
+        Actor sink;
+        sink.kind = ActorKind::Sink;
+        sink.name = "done";
+        BdfgGraph g("t", 0);
+        ActorId s, a, k;
+        if (consumer_first) {
+            k = g.addActor(sink);
+            a = g.addActor(alu);
+            s = g.addActor(src);
+        } else {
+            s = g.addActor(src);
+            a = g.addActor(alu);
+            k = g.addActor(sink);
+        }
+        g.connect(s, a, 1);
+        g.connect(a, k, 1);
+        g.verify();
+        spec.pipelines.push_back(std::move(g));
+        for (uint64_t i = 0; i < 24; ++i)
+            spec.seed(0, {i});
+        return spec;
+    };
+}
+
+TEST(StageSleep, LowerIndexConsumerWakesNextCycle)
+{
+    AccelConfig cfg;
+    cfg.fifoDepth = 1;
+    cfg.hostBatch = 1;
+    cfg.hostInterval = 7;
+    expectEquivalent(twoStage(true), cfg);
+}
+
+TEST(StageSleep, HigherIndexConsumerWakesSameCycle)
+{
+    AccelConfig cfg;
+    cfg.fifoDepth = 1;
+    cfg.hostBatch = 1;
+    cfg.hostInterval = 7;
+    expectEquivalent(twoStage(false), cfg);
+}
+
+TEST(StageSleep, StageBoundRunVisitsUnderHalfTheStages)
+{
+    // The every-cycle loop visits every stage on every executed tick;
+    // SPEC-BFS at stock bandwidth keeps most of its stages idle, so
+    // they must be asleep most of the time.
+    setQuietLogging(true);
+    bench::AccelRun run = bench::runAccelerator(
+        bench::Bench::SpecBfs, bench::makeWorkloads(0.02, 1),
+        bench::defaultAccelConfig());
+    const TickPerf &perf = run.rr.tickPerf;
+    double stages = 0;
+    for (const StatGroup &g : run.rr.groups)
+        if (g.name() == "accel")
+            stages = g.values().at("stages");
+    ASSERT_GT(stages, 0);
+    ASSERT_GT(perf.ticks, 0u);
+    EXPECT_LT(static_cast<double>(perf.stageVisits) / perf.ticks,
+              stages / 2)
+        << perf.stageVisits << " visits over " << perf.ticks << " ticks";
+}
+
+/**
+ * Save a checkpoint at `save` (the hook fires at the top of that
+ * cycle), then restore it into a fresh machine: both the saving run
+ * and the restored run must fingerprint like the uninterrupted one.
+ */
+void
+expectCheckpointExact(const SpecFactory &make, const AccelConfig &cfg,
+                      uint64_t save, const std::string &name)
+{
+    std::string path = ::testing::TempDir() + name + ".ckpt";
+    std::string whole = runFingerprint(make, cfg, true);
+    std::string saving = runFingerprint(
+        make, cfg, true, nullptr, [&](Accelerator &accel) {
+            accel.scheduleCheckpointSave(save, [&accel, &path] {
+                ckpt::Writer w;
+                accel.ckptSave(w);
+                w.finish(path);
+            });
+        });
+    EXPECT_EQ(saving, whole) << name << ": saving perturbed the run";
+    std::string restored = runFingerprint(
+        make, cfg, true, nullptr, [&](Accelerator &accel) {
+            ckpt::Reader r(path);
+            accel.ckptRestore(r);
+            EXPECT_TRUE(r.atEnd());
+        });
+    EXPECT_EQ(restored, whole) << name << ": restored run diverged";
+}
+
+TEST(StageSleep, CheckpointInsideALongSleepRestoresExactly)
+{
+    // Host batches every 500 cycles drain in a few dozen: at 1250
+    // every stage has slept for hundreds of cycles, and the save hook
+    // must settle their lazily charged idle cycles first.
+    AccelConfig host;
+    host.hostBatch = 2;
+    host.hostInterval = 500;
+    expectCheckpointExact(hostFedTrickle(30), host, 1250, "sleep_host");
+
+    // A starved link with two MSHRs: load/store units sleep on full
+    // miss files, their per-cycle MSHR rejects charged lazily.
+    AccelConfig starved;
+    starved.pipelinesPerSet = 4;
+    starved.lsuEntries = 8;
+    starved.mem.cache.mshrs = 2;
+    starved.mem.bandwidthScale = 0.05;
+    expectCheckpointExact(loadComputeStore(64), starved, 401,
+                          "sleep_mshr");
 }
 
 // ------------------------------------------------------- fuzz designs

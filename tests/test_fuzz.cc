@@ -257,9 +257,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RuleFuzz,
 // --------------------------------------- speculative-config fuzz
 
 /**
- * Random legal machine tuples — MSHR count, cache lines, queue
- * banks, rule-lane depth, backoff base, pinning on/off — thrown at
- * the most retry-heavy design (SPEC-MST). Every draw must terminate
+ * Random legal machine tuples — MSHR count, cache lines, up to eight
+ * pipelines, queue banks, rule lanes down to one, one to four
+ * rendezvous entries, host-fed injection, backoff base, pinning
+ * on/off — thrown at the most retry-heavy design (SPEC-MST). The
+ * narrow lane files, rendezvous buffers and host intervals are where
+ * the per-stage wake edges between stages matter most. Every draw
+ * must terminate
  * (run() returning at all proves neither deadlockCycles nor the
  * cycle wall tripped, since both panic), produce the reference tree,
  * and simulate bit-identically with and without fast-forward — the
@@ -273,10 +277,15 @@ randomSpecConfig(Rng &rng)
     cfg.mem.cache.lineBytes = 64;
     cfg.mem.cache.sizeBytes = 64 << rng.below(3); // 1, 2 or 4 lines
     cfg.mem.cache.prefetchNextLine = rng.chance(0.3);
-    cfg.pipelinesPerSet = 1 + static_cast<uint32_t>(rng.below(3));
+    cfg.pipelinesPerSet = 1 + static_cast<uint32_t>(rng.below(8));
     cfg.queueBanks = 1 + static_cast<uint32_t>(rng.below(4));
-    cfg.ruleLanes = 8 + static_cast<uint32_t>(rng.below(8));
+    cfg.ruleLanes = 1 + static_cast<uint32_t>(rng.below(16));
+    cfg.rendezvousEntries = 1 + static_cast<uint32_t>(rng.below(4));
     cfg.fifoDepth = 1 + static_cast<uint32_t>(rng.below(4));
+    if (rng.chance(0.4)) {
+        cfg.hostBatch = 1 + static_cast<uint32_t>(rng.below(8));
+        cfg.hostInterval = 1 + rng.below(512);
+    }
     cfg.specBackoffBase = 1 + rng.below(32);
     // Keep the draw legal: pinOldest requires liveness.
     cfg.specPinOldest = rng.chance(0.7);

@@ -4,8 +4,9 @@
 Wraps the micro_tick profiling bench into the standardized perf
 trajectory file the ROADMAP asks for: one record per paper benchmark
 with the deterministic tick-loop counters (simulated cycles, ticks
-executed, stage visits, fast-forward skips, wake-calendar recomputes,
-arena allocations) and the measured wall-clock throughput
+executed, stage visits, busy stage visits, fast-forward skips,
+wake-calendar recomputes, arena allocations) and the measured
+wall-clock throughput
 (cycles_per_sec). The deterministic fields are diffable across
 commits; the throughput fields track the hot-path trend on a fixed
 machine.
@@ -24,7 +25,9 @@ so are far more stable than absolute seconds.
 
 With --check, the fresh run is compared against a previously written
 record: any benchmark whose cycles_per_sec drops more than the
-tolerance below the baseline, a restore speedup more than the
+tolerance below the baseline, whose stage_visits rise more than 5%
+above it (visits are deterministic, so no noise allowance: a rise
+means stages stopped sleeping), a restore speedup more than the
 tolerance below the baseline's, or a save overhead more than the
 tolerance above it fails the run (exit nonzero, all regressions
 listed). The scales must match, otherwise the comparison is
@@ -49,6 +52,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DET_FIELDS = ("cycles", "tasks_executed")
 TICK_FIELDS = ("ticks", "stage_visits", "ff_skips", "skipped_cycles",
                "wake_queries", "wake_recomputes", "arena_allocs")
+# Allowed stage_visits rise over the baseline (deterministic counter).
+VISITS_TOLERANCE = 0.05
 
 
 def run_micro_tick(bench, scale, reps):
@@ -113,6 +118,11 @@ def make_record(runs, scale, reps):
               "points": {}}
     for r in runs:
         point = {f: r[f] for f in DET_FIELDS}
+        # A stage is busy only on a visit, so the busy-cycle total is
+        # the number of useful visits.
+        point["busy_visits"] = int(sum(
+            v for k, v in r["stats"]["stages"].items()
+            if k.endswith(".busy")))
         point["cycles_per_sec"] = r["cycles_per_sec"]
         point.update({f: r["tick_perf"][f] for f in TICK_FIELDS})
         record["points"][r["benchmark"]] = point
@@ -144,6 +154,16 @@ def check_regression(fresh, baseline_path, tolerance):
                 f"{name}: {got:.3g} cycles/sec is more than "
                 f"{tolerance:.0%} below the baseline "
                 f"{base['cycles_per_sec']:.3g}")
+        ceiling = base["stage_visits"] * (1.0 + VISITS_TOLERANCE)
+        got = point["stage_visits"]
+        verdict = "ok  " if got <= ceiling else "FAIL"
+        print(f"{verdict} {name}: {got} stage visits "
+              f"(baseline {base['stage_visits']}, ceiling {ceiling:.0f})")
+        if got > ceiling:
+            failures.append(
+                f"{name}: {got} stage visits are more than "
+                f"{VISITS_TOLERANCE:.0%} above the baseline "
+                f"{base['stage_visits']}")
     # Checkpoint ratio gates: the save overhead may not grow, the
     # restore speedup may not shrink, beyond the tolerance. Both are
     # same-machine ratios, so the 30% default covers load noise, not
@@ -191,7 +211,8 @@ def write_summary(fresh, baseline_path, out_path):
     counter's drift is visible on the job page, not just the
     cycles_per_sec pass/fail."""
     baseline = json.load(open(baseline_path))
-    counters = DET_FIELDS + TICK_FIELDS + ("cycles_per_sec",)
+    counters = (DET_FIELDS + ("busy_visits",) + TICK_FIELDS +
+                ("cycles_per_sec",))
     lines = ["### Tick-loop perf vs committed baseline", "",
              f"scale {fresh['scale']}, reps {fresh['reps']}", "",
              "| benchmark | counter | baseline | fresh | delta |",
@@ -214,8 +235,27 @@ def write_summary(fresh, baseline_path, out_path):
                              else f"{v}")
             lines.append(f"| {name} | {c} | {fmt(b)} | {fmt(f)} "
                          f"| {delta} |")
+    # Visits per executed tick against the useful (busy) share of
+    # them: how close the scheduler comes to ticking only stages
+    # that act.
+    lines += ["", "| benchmark | visits_per_tick baseline | fresh "
+              "| busy_per_tick baseline | fresh |",
+              "|---|---:|---:|---:|---:|"]
+    per_tick = lambda p, c: (f"{p[c] / p['ticks']:.2f}"
+                             if p.get(c) is not None and p.get("ticks")
+                             else "n/a")
+    for name in sorted(baseline["points"]):
+        base = baseline["points"][name]
+        point = fresh["points"].get(name, {})
+        lines.append(f"| {name} | {per_tick(base, 'stage_visits')} "
+                     f"| {per_tick(point, 'stage_visits')} "
+                     f"| {per_tick(base, 'busy_visits')} "
+                     f"| {per_tick(point, 'busy_visits')} |")
+    lines.append("")
     base_ck = baseline.get("checkpoint", {})
     fresh_ck = fresh.get("checkpoint", {})
+    lines += ["| benchmark | counter | baseline | fresh | delta |",
+              "|---|---|---:|---:|---:|"]
     for c in ("full_seconds", "save_seconds", "restore_seconds",
               "save_overhead", "restore_speedup"):
         b, f = base_ck.get(c), fresh_ck.get(c)

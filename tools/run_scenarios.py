@@ -66,13 +66,11 @@ LIVENESS_BUDGET_PER_TASK = {
     "COOR-LU": 10000,
 }
 
-# Checkpoint campaign run modes: the fast-forward and wake-calendar
-# axes. noff already runs with the calendar unused (every cycle is
-# ticked), so the noff+nocal corner adds nothing and is skipped.
+# Checkpoint campaign run modes: activity-driven scheduling (ff) and
+# the every-stage, every-cycle oracle (noff).
 CHECKPOINT_MODES = (
     ("ff", []),
     ("noff", ["--no-fast-forward"]),
-    ("nocal", ["--set", "accel.wakeCalendar=false"]),
 )
 
 
@@ -129,8 +127,7 @@ def compare_stats(a, b, what, log):
 def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
     """Save/restore round-trip property campaign (docs/checkpointing.md).
 
-    For every scenario x run mode (fast-forward on/off, wake calendar
-    on/off) x seed: run the sweep plain (A), rerun it saving a
+    For every scenario x run mode (fast-forward on/off) x seed: run the sweep plain (A), rerun it saving a
     mid-run checkpoint (B), then restore that checkpoint in a fresh
     process (C). A, B and C must produce byte-identical stats-json —
     saving must not perturb the run it snapshots, and a restored
