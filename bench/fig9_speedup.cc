@@ -41,7 +41,7 @@ nativeSequentialSeconds(Bench b, const Workloads &w)
         return timeSeconds(
             [&] {
                 RefineParams params;
-                Mesh mesh = randomDelaunayMesh(w.meshPoints, 42);
+                Mesh mesh = randomDelaunayMesh(w.meshPoints, w.seed);
                 refineMesh(mesh, params);
             },
             1);
@@ -49,7 +49,7 @@ nativeSequentialSeconds(Bench b, const Workloads &w)
         return timeSeconds(
             [&] {
                 BlockSparseMatrix a = randomBlockSparse(
-                    w.luBlocks, w.luBlockSize, w.luDensity, 42);
+                    w.luBlocks, w.luBlockSize, w.luDensity, w.seed);
                 sparseLuSequential(a);
             },
             1);

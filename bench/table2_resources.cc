@@ -32,12 +32,12 @@ buildSpecFor(Bench b, const Workloads &w, MemorySystem &mem)
       case Bench::SpecMst:  return buildSpecMst(w.road, mem).spec;
       case Bench::SpecDmr: {
         RefineParams params;
-        Mesh mesh = randomDelaunayMesh(w.meshPoints, 42);
+        Mesh mesh = randomDelaunayMesh(w.meshPoints, w.seed);
         return buildSpecDmr(std::move(mesh), params, mem).spec;
       }
       case Bench::CoorLu: {
         BlockSparseMatrix a = randomBlockSparse(
-            w.luBlocks, w.luBlockSize, w.luDensity, 42);
+            w.luBlocks, w.luBlockSize, w.luDensity, w.seed);
         return buildCoorLu(std::move(a), mem).spec;
       }
     }
@@ -52,7 +52,7 @@ main(int argc, char **argv)
     setQuietLogging(true);
     Options opt = parseOptions(argc, argv);
     requireNoCheckpoint(opt, "table2_resources");
-    Workloads w = makeWorkloads(opt.scale);
+    Workloads w = makeWorkloads(opt.scale, opt.seed);
     DeviceLimits dev;
 
     std::printf("=== Section 6.2: structure and resources of generated "

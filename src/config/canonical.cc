@@ -1,6 +1,7 @@
 #include "config/canonical.hh"
 
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "support/str.hh"
 
@@ -15,14 +16,42 @@ canonicalDouble(double v)
 namespace {
 
 /**
- * Doubles are keyed with enough digits to round-trip exactly, so two
- * configurations differing anywhere in the value's bits get distinct
- * keys (matching the repo-wide %.17g JSON number convention).
+ * "knob=value|..." over every knob row, structural rows only when
+ * `structuralOnly`. The order is the one checkpoint headers and the
+ * apird result store hold: the AccelConfig rows, with the MemConfig
+ * rows spliced in ahead of sample.*.
  */
 std::string
-num(double v)
+knobKey(const AccelConfig &cfg, bool structuralOnly)
 {
-    return canonicalDouble(v);
+    std::string out;
+    auto emit = [&](const auto &row, const auto &owner) {
+        if (structuralOnly && !row.structural)
+            return;
+        row.visit(owner, [&](auto v) {
+            if (!out.empty())
+                out += '|';
+            out.append(row.section).append(".").append(row.key) += '=';
+            // Doubles get the round-trip spelling, so two configs
+            // differing anywhere in a value's bits get distinct keys.
+            if constexpr (std::is_same_v<decltype(v), double>)
+                out += canonicalDouble(v);
+            else
+                out += std::to_string(v);
+        });
+    };
+    auto isSample = [](const Knob<AccelConfig> &row) {
+        return std::string_view(row.section) == "sample";
+    };
+    for (const Knob<AccelConfig> &row : accelKnobs())
+        if (!isSample(row))
+            emit(row, cfg);
+    for (const Knob<MemConfig> &row : memKnobs())
+        emit(row, cfg.mem);
+    for (const Knob<AccelConfig> &row : accelKnobs())
+        if (isSample(row))
+            emit(row, cfg);
+    return out;
 }
 
 } // namespace
@@ -30,54 +59,13 @@ num(double v)
 std::string
 configCanonicalKey(const AccelConfig &cfg)
 {
-    std::ostringstream os;
-    os << "accel.pipelinesPerSet=" << cfg.pipelinesPerSet
-       << "|accel.ruleLanes=" << cfg.ruleLanes
-       << "|accel.queueBanks=" << cfg.queueBanks
-       << "|accel.queueBankCapacity=" << cfg.queueBankCapacity
-       << "|accel.lsuEntries=" << cfg.lsuEntries
-       << "|accel.lsuInOrder=" << cfg.lsuInOrder
-       << "|accel.fifoDepth=" << cfg.fifoDepth
-       << "|accel.rendezvousEntries=" << cfg.rendezvousEntries
-       << "|accel.otherwiseTimeout=" << cfg.otherwiseTimeout
-       << "|accel.deadlockCycles=" << cfg.deadlockCycles
-       << "|accel.maxCycles=" << cfg.maxCycles
-       << "|accel.fastForward=" << cfg.fastForward
-       << "|accel.clockHz=" << num(cfg.clockHz)
-       << "|spec.liveness=" << cfg.specLiveness
-       << "|spec.backoffBase=" << cfg.specBackoffBase
-       << "|spec.pinOldest=" << cfg.specPinOldest
-       << "|accel.hostBatch=" << cfg.hostBatch
-       << "|accel.hostInterval=" << cfg.hostInterval
-       << "|mem.bandwidthScale=" << num(cfg.mem.bandwidthScale)
-       << "|mem.clockHz=" << num(cfg.mem.clockHz)
-       << "|cache.sizeBytes=" << cfg.mem.cache.sizeBytes
-       << "|cache.lineBytes=" << cfg.mem.cache.lineBytes
-       << "|cache.hitLatency=" << cfg.mem.cache.hitLatency
-       << "|cache.mshrs=" << cfg.mem.cache.mshrs
-       << "|cache.prefetchNextLine=" << cfg.mem.cache.prefetchNextLine
-       << "|qpi.bytesPerCycle=" << num(cfg.mem.qpi.bytesPerCycle)
-       << "|qpi.latency=" << cfg.mem.qpi.latency
-       << "|sample.interval=" << cfg.sampleInterval
-       << "|sample.window=" << cfg.sampleWindow;
-    return os.str();
+    return knobKey(cfg, false);
 }
 
 std::string
 configStructuralKey(const AccelConfig &cfg)
 {
-    std::ostringstream os;
-    os << "accel.pipelinesPerSet=" << cfg.pipelinesPerSet
-       << "|accel.ruleLanes=" << cfg.ruleLanes
-       << "|accel.queueBanks=" << cfg.queueBanks
-       << "|accel.queueBankCapacity=" << cfg.queueBankCapacity
-       << "|accel.lsuEntries=" << cfg.lsuEntries
-       << "|accel.fifoDepth=" << cfg.fifoDepth
-       << "|accel.rendezvousEntries=" << cfg.rendezvousEntries
-       << "|cache.sizeBytes=" << cfg.mem.cache.sizeBytes
-       << "|cache.lineBytes=" << cfg.mem.cache.lineBytes
-       << "|cache.mshrs=" << cfg.mem.cache.mshrs;
-    return os.str();
+    return knobKey(cfg, true);
 }
 
 } // namespace apir

@@ -1,6 +1,6 @@
 #include "config/loader.hh"
 
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "config/conf.hh"
@@ -13,209 +13,77 @@ namespace {
 /** Located out-of-range diagnostic naming the offending knob. */
 [[noreturn]] void
 rejectKnob(const ConfFile &cf, const std::string &sec,
-           const std::string &key, const char *what)
+           const std::string &key, const std::string &what)
 {
     const ConfValue &v = cf.get(sec, key);
     std::string knob = sec.empty() ? key : sec + "." + key;
     fatal(v.loc.str(), ": ", knob, " ", what, " (got '", v.raw, "')");
 }
 
-struct Knob
+/** Read a knob's value from `cf` as the type of its member. */
+template <typename T>
+T
+readValue(const ConfFile &cf, const std::string &sec,
+          const std::string &key)
 {
-    const char *section;
-    const char *key;
-    std::function<void(Scenario &, const ConfFile &)> apply;
-};
-
-/** The full knob registry: every recognized section.key. */
-const std::vector<Knob> &
-knobTable()
-{
-    auto u32 = [](uint32_t AccelConfig::*field, uint32_t min) {
-        return [field, min](Scenario &s, const ConfFile &cf,
-                            const char *sec, const char *key) {
-            uint32_t v = cf.getU32(sec, key);
-            if (v < min)
-                rejectKnob(cf, sec, key,
-                           min == 1 ? "must be >= 1" : "is too small");
-            s.accel.*field = v;
-        };
-    };
-    auto u64 = [](uint64_t AccelConfig::*field, uint64_t min) {
-        return [field, min](Scenario &s, const ConfFile &cf,
-                            const char *sec, const char *key) {
-            uint64_t v = cf.getU64(sec, key);
-            if (v < min)
-                rejectKnob(cf, sec, key, "must be >= 1");
-            s.accel.*field = v;
-        };
-    };
-    auto boolean = [](bool AccelConfig::*field) {
-        return [field](Scenario &s, const ConfFile &cf,
-                       const char *sec, const char *key) {
-            s.accel.*field = cf.getBool(sec, key);
-        };
-    };
-
-    // Each entry binds its own section/key so the lambdas above can
-    // be reused; the wrapper forwards them.
-    auto bind = [](const char *sec, const char *key, auto fn) {
-        return Knob{sec, key,
-                    [fn, sec, key](Scenario &s, const ConfFile &cf) {
-                        fn(s, cf, sec, key);
-                    }};
-    };
-
-    static const std::vector<Knob> table = {
-        // -------------------------------------------- identification
-        bind("scenario", "name",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) { s.name = cf.getString(sec, key); }),
-        bind("scenario", "description",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 s.description = cf.getString(sec, key);
-             }),
-        // ------------------------------------------------- workload
-        bind("workload", "scale",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 double v = cf.getDouble(sec, key);
-                 if (v <= 0.0)
-                     rejectKnob(cf, sec, key, "must be positive");
-                 s.scale = v;
-                 s.hasScale = true;
-             }),
-        // ---------------------------------------------------- accel
-        bind("accel", "pipelinesPerSet",
-             u32(&AccelConfig::pipelinesPerSet, 1)),
-        bind("accel", "ruleLanes", u32(&AccelConfig::ruleLanes, 1)),
-        bind("accel", "queueBanks", u32(&AccelConfig::queueBanks, 1)),
-        bind("accel", "queueBankCapacity",
-             u32(&AccelConfig::queueBankCapacity, 1)),
-        bind("accel", "lsuEntries", u32(&AccelConfig::lsuEntries, 1)),
-        bind("accel", "lsuInOrder", boolean(&AccelConfig::lsuInOrder)),
-        bind("accel", "fifoDepth", u32(&AccelConfig::fifoDepth, 1)),
-        bind("accel", "rendezvousEntries",
-             u32(&AccelConfig::rendezvousEntries, 1)),
-        bind("accel", "otherwiseTimeout",
-             u64(&AccelConfig::otherwiseTimeout, 1)),
-        // 0 = derive from otherwiseTimeout; cross-checked against it
-        // by validateAccelConfig.
-        bind("accel", "deadlockCycles",
-             u64(&AccelConfig::deadlockCycles, 0)),
-        bind("accel", "maxCycles", u64(&AccelConfig::maxCycles, 1)),
-        bind("accel", "fastForward", boolean(&AccelConfig::fastForward)),
-        bind("accel", "clockHz",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 double v = cf.getDouble(sec, key);
-                 if (v <= 0.0)
-                     rejectKnob(cf, sec, key, "must be positive");
-                 s.accel.clockHz = v;
-                 // The per-cycle QPI bandwidth is quoted against the
-                 // FPGA clock; keep the two in sync (the config.hh
-                 // contract) unless [mem] overrides it explicitly.
-                 if (!cf.has("mem", "clockHz"))
-                     s.accel.mem.clockHz = v;
-             }),
-        // 0 = all initial tasks present at cycle 0 (not host-fed).
-        bind("accel", "hostBatch", u32(&AccelConfig::hostBatch, 0)),
-        bind("accel", "hostInterval",
-             u64(&AccelConfig::hostInterval, 1)),
-        // --------------------------------------------------- sample
-        // Interval sampling (docs/checkpointing.md); 0 = disabled.
-        // window < interval is cross-checked by validateAccelConfig.
-        bind("sample", "interval",
-             u64(&AccelConfig::sampleInterval, 0)),
-        bind("sample", "window", u64(&AccelConfig::sampleWindow, 0)),
-        // ----------------------------------------------------- spec
-        // The squash-retry liveness subsystem (docs/liveness.md);
-        // pinOldest-requires-liveness is cross-checked by
-        // validateAccelConfig like every other cross-knob rule.
-        bind("spec", "liveness", boolean(&AccelConfig::specLiveness)),
-        bind("spec", "backoffBase",
-             u64(&AccelConfig::specBackoffBase, 1)),
-        bind("spec", "pinOldest",
-             boolean(&AccelConfig::specPinOldest)),
-        // ------------------------------------------------------ mem
-        bind("mem", "bandwidthScale",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 double v = cf.getDouble(sec, key);
-                 if (v <= 0.0)
-                     rejectKnob(cf, sec, key, "must be positive");
-                 s.accel.mem.bandwidthScale = v;
-             }),
-        bind("mem", "clockHz",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 double v = cf.getDouble(sec, key);
-                 if (v <= 0.0)
-                     rejectKnob(cf, sec, key, "must be positive");
-                 s.accel.mem.clockHz = v;
-             }),
-        // ---------------------------------------------------- cache
-        bind("cache", "sizeBytes",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 uint64_t v = cf.getU64(sec, key);
-                 if (v == 0)
-                     rejectKnob(cf, sec, key, "must be >= 1");
-                 s.accel.mem.cache.sizeBytes = v;
-             }),
-        bind("cache", "lineBytes",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 uint64_t v = cf.getU64(sec, key);
-                 if (v == 0)
-                     rejectKnob(cf, sec, key, "must be >= 1");
-                 s.accel.mem.cache.lineBytes = v;
-             }),
-        bind("cache", "hitLatency",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 s.accel.mem.cache.hitLatency = cf.getU64(sec, key);
-             }),
-        bind("cache", "mshrs",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 uint32_t v = cf.getU32(sec, key);
-                 if (v == 0)
-                     rejectKnob(cf, sec, key, "must be >= 1");
-                 s.accel.mem.cache.mshrs = v;
-             }),
-        bind("cache", "prefetchNextLine",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 s.accel.mem.cache.prefetchNextLine =
-                     cf.getBool(sec, key);
-             }),
-        // ------------------------------------------------------ qpi
-        bind("qpi", "bytesPerCycle",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 double v = cf.getDouble(sec, key);
-                 if (v <= 0.0)
-                     rejectKnob(cf, sec, key, "must be positive");
-                 s.accel.mem.qpi.bytesPerCycle = v;
-             }),
-        bind("qpi", "latency",
-             [](Scenario &s, const ConfFile &cf, const char *sec,
-                const char *key) {
-                 s.accel.mem.qpi.latency = cf.getU64(sec, key);
-             }),
-    };
-    return table;
+    if constexpr (std::is_same_v<T, bool>)
+        return cf.getBool(sec, key);
+    else if constexpr (std::is_same_v<T, uint32_t>)
+        return cf.getU32(sec, key);
+    else if constexpr (std::is_same_v<T, uint64_t>)
+        return cf.getU64(sec, key);
+    else
+        return cf.getDouble(sec, key);
 }
 
-const Knob *
-findKnob(const std::string &section, const std::string &key)
+/**
+ * Apply section.key from `cf` to `cfg` if a row of `table` names it,
+ * with the row's bounds as a located check; false when no row does.
+ */
+template <typename Cfg>
+bool
+applyRow(const std::vector<Knob<Cfg>> &table, Cfg &cfg,
+         const ConfFile &cf, const std::string &sec,
+         const std::string &key)
 {
-    for (const Knob &k : knobTable())
-        if (section == k.section && key == k.key)
-            return &k;
-    return nullptr;
+    for (const Knob<Cfg> &k : table) {
+        if (sec != k.section || key != k.key)
+            continue;
+        k.visit(cfg, [&](auto &member) {
+            auto v = readValue<std::decay_t<decltype(member)>>(cf, sec, key);
+            std::string why = k.outOfRange(static_cast<double>(v));
+            if (!why.empty())
+                rejectKnob(cf, sec, key, why);
+            member = v;
+        });
+        return true;
+    }
+    return false;
+}
+
+/**
+ * The knobs that describe the scenario rather than the machine:
+ * [scenario] name/description and [workload] scale. False for any
+ * other section.key.
+ */
+bool
+applyScenarioKnob(Scenario &s, const ConfFile &cf, const std::string &sec,
+                  const std::string &key)
+{
+    if (sec == "scenario" && key == "name") {
+        s.name = cf.getString(sec, key);
+    } else if (sec == "scenario" && key == "description") {
+        s.description = cf.getString(sec, key);
+    } else if (sec == "workload" && key == "scale") {
+        double v = cf.getDouble(sec, key);
+        if (v <= 0.0)
+            rejectKnob(cf, sec, key, "must be positive");
+        s.scale = v;
+        s.hasScale = true;
+    } else {
+        return false;
+    }
+    return true;
 }
 
 /** "path/to/harp_default.conf" -> "harp_default". */
@@ -245,18 +113,22 @@ loadScenario(const ConfFile &cf, const AccelConfig &base)
         if (section == "define")
             continue;
         for (const std::string &key : cf.keys(section)) {
-            const Knob *k = findKnob(section, key);
-            if (!k) {
-                const ConfValue &v = cf.get(section, key);
-                std::string knob =
-                    section.empty() ? key : section + "." + key;
-                fatal(v.loc.str(), ": unknown knob '", knob,
-                      "' (variables belong in [define]; see "
-                      "docs/configs.md for the knob list)");
-            }
-            k->apply(s, cf);
+            if (applyRow(accelKnobs(), s.accel, cf, section, key) ||
+                applyRow(memKnobs(), s.accel.mem, cf, section, key) ||
+                applyScenarioKnob(s, cf, section, key))
+                continue;
+            const ConfValue &v = cf.get(section, key);
+            std::string knob = section.empty() ? key : section + "." + key;
+            fatal(v.loc.str(), ": unknown knob '", knob,
+                  "' (variables belong in [define]; see "
+                  "docs/configs.md for the knob list)");
         }
     }
+    // The per-cycle QPI bandwidth is quoted against the FPGA clock;
+    // keep the two in sync (the config.hh contract) unless [mem]
+    // overrides it explicitly.
+    if (cf.has("accel", "clockHz") && !cf.has("mem", "clockHz"))
+        s.accel.mem.clockHz = s.accel.clockHz;
 
     // The shared validation path: file-loaded configs hit exactly
     // the checks C++-built configs hit at Accelerator construction.

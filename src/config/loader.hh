@@ -2,16 +2,17 @@
  * @file
  * Map a parsed SESC-style config file onto the simulator's knob
  * structs: `AccelConfig` (with its nested `MemConfig`) plus the
- * workload spec. Every recognized knob is applied through a strict
- * typed accessor with a per-knob range check, unknown section/key
- * pairs are located fatal diagnostics (a typoed knob must not
- * silently fall back to the default), and the result is routed
+ * workload spec. Every machine knob is a row of accelKnobs() or
+ * memKnobs(), applied through the strict typed accessor for its
+ * member's type and checked against the row's bounds; unknown
+ * section/key pairs are located fatal diagnostics (a typoed knob must
+ * not silently fall back to the default), and the result is routed
  * through the same `validateAccelConfig` the C++-built configs hit —
  * one shared validation path.
  *
  * Recognized sections: [scenario] (name, description), [workload]
- * (scale), [accel], [mem], [cache], [qpi] (field-for-field with the
- * corresponding config structs), and [define] (free variables for
+ * (scale), the knob-table sections [accel], [spec], [sample], [mem],
+ * [cache], [qpi] (docs/configs.md), and [define] (free variables for
  * $(var), never validated as knobs).
  */
 

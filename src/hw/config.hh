@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <vector>
 
 #include "mem/memsys.hh"
+#include "support/knob.hh"
 
 namespace apir {
 
@@ -141,15 +143,23 @@ struct AccelConfig
 };
 
 /**
+ * The AccelConfig knob table (accel.*, spec.*, sample.*), in
+ * canonical-key order; the nested MemConfig has its own, memKnobs().
+ * The trace hooks and the tracer are not knobs.
+ */
+const std::vector<Knob<AccelConfig>> &accelKnobs();
+
+/**
  * Reject configurations the model cannot simulate, with a diagnostic
- * naming the offending knob. A host-fed config (hostBatch > 0) with
- * hostInterval == 0 would make hostTick() divide by zero (a SIGFPE),
- * zero-sized structural knobs would build an accelerator with no
- * pipelines, lanes, or buffering that can only deadlock, and the
- * nested MemConfig is checked by validateMemConfig. This is the one
- * shared validation path: the Accelerator constructor calls it for
- * C++-built configs and the scenario loader calls it for file-loaded
- * ones.
+ * naming the offending knob. Each knob must lie within its
+ * accelKnobs() row bounds: zero-sized structural knobs would build an
+ * accelerator that can only deadlock, and oversized ones would
+ * exhaust memory or time before the first cycle. The cross-field
+ * rules follow (the watchdog window, pinning needs liveness, the
+ * sampling window), and the nested MemConfig is checked by
+ * validateMemConfig. This is the one shared validation path: the
+ * Accelerator constructor calls it for C++-built configs and the
+ * scenario loader calls it for file-loaded ones.
  */
 void validateAccelConfig(const AccelConfig &cfg);
 

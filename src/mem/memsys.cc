@@ -9,27 +9,58 @@
 
 namespace apir {
 
+namespace {
+
+template <auto... Path>
+constexpr auto field = &knobField<MemConfig, Path...>;
+
+using M = MemConfig;
+using C = CacheConfig;
+using Q = QpiConfig;
+
+// Latencies are added to cycle counts, so they stay far below 2^64.
+constexpr uint64_t kMaxLatency = 1ull << 32;
+
+} // namespace
+
+const std::vector<Knob<MemConfig>> &
+memKnobs()
+{
+    // section, key, member, min, max, structural
+    static const std::vector<Knob<MemConfig>> rows = {
+        {"mem", "bandwidthScale", field<&M::bandwidthScale>, kPositive,
+         kUnbounded, false},
+        {"mem", "clockHz", field<&M::clockHz>, kPositive, kUnbounded,
+         false},
+        // 16 MiB, 256x the HARP cache: about 200 MB of line state at
+        // 8-byte lines, so an oversized cache fails here, not in new[].
+        {"cache", "sizeBytes", field<&M::cache, &C::sizeBytes>, 1,
+         1 << 24, true},
+        {"cache", "lineBytes", field<&M::cache, &C::lineBytes>,
+         kWordBytes, 4096, true},
+        {"cache", "hitLatency", field<&M::cache, &C::hitLatency>, 0,
+         kMaxLatency, false},
+        {"cache", "mshrs", field<&M::cache, &C::mshrs>, 1, 4096, true},
+        {"cache", "prefetchNextLine",
+         field<&M::cache, &C::prefetchNextLine>, 0, 1, false},
+        {"qpi", "bytesPerCycle", field<&M::qpi, &Q::bytesPerCycle>,
+         kPositive, kUnbounded, false},
+        {"qpi", "latency", field<&M::qpi, &Q::latency>, 0, kMaxLatency,
+         false},
+    };
+    return rows;
+}
+
 void
 validateMemConfig(const MemConfig &cfg)
 {
-    auto require = [](bool ok, const char *what) {
-        if (!ok)
-            fatal("invalid MemConfig: ", what);
-    };
-    require(cfg.clockHz > 0.0, "mem.clockHz must be positive (it "
-            "converts per-cycle QPI bandwidth to GB/s)");
-    require(cfg.bandwidthScale > 0.0,
-            "mem.bandwidthScale must be positive");
-    require(cfg.qpi.bytesPerCycle > 0.0,
-            "qpi.bytesPerCycle must be positive");
-    require(cfg.cache.lineBytes >= kWordBytes,
-            "cache.lineBytes must be at least the 8-byte word size");
-    require(cfg.cache.sizeBytes >= cfg.cache.lineBytes &&
-                cfg.cache.sizeBytes % cfg.cache.lineBytes == 0,
-            "cache.sizeBytes must be a non-zero multiple of "
-            "cache.lineBytes");
-    require(cfg.cache.mshrs >= 1, "cache.mshrs must be >= 1 (the "
-            "cache needs at least one outstanding miss)");
+    for (const Knob<MemConfig> &k : memKnobs())
+        if (std::string why = k.outOfRange(cfg); !why.empty())
+            fatal("invalid MemConfig: ", k.name(), " ", why);
+    if (cfg.cache.sizeBytes % cfg.cache.lineBytes != 0 ||
+        cfg.cache.sizeBytes < cfg.cache.lineBytes)
+        fatal("invalid MemConfig: cache.sizeBytes must be a non-zero "
+              "multiple of cache.lineBytes");
 }
 
 MemorySystem::MemorySystem(MemConfig cfg) : cfg_(cfg)

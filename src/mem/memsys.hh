@@ -11,10 +11,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "mem/image.hh"
 #include "mem/qpi.hh"
+#include "support/knob.hh"
 #include "support/stats.hh"
 
 namespace apir {
@@ -38,14 +40,19 @@ struct MemConfig
 };
 
 /**
+ * The MemConfig knob table (mem.*, cache.*, qpi.*), in canonical-key
+ * order: spelling, member, bounds and structural flag of each knob.
+ */
+const std::vector<Knob<MemConfig>> &memKnobs();
+
+/**
  * Reject memory configurations the model cannot simulate, with a
- * diagnostic naming the offending knob (config-file spelling:
- * mem.*, cache.*, qpi.*). A zero clock would divide by zero in the
- * bandwidth conversion, zero/degenerate cache geometry would divide
- * by zero on every access, and a zero-bandwidth link would never
- * complete a transfer. Called by the MemorySystem constructor and by
- * validateAccelConfig, so C++-built and file-loaded configurations
- * hit the same checks.
+ * diagnostic naming the offending knob: a value outside its memKnobs()
+ * row bounds (a zero clock or zero-bandwidth link, a line narrower
+ * than a word, a cache too large to allocate) or a cache size that is
+ * not a whole number of lines. Called by the MemorySystem constructor
+ * and by validateAccelConfig, so C++-built and file-loaded
+ * configurations hit the same checks.
  */
 void validateMemConfig(const MemConfig &cfg);
 

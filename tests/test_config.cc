@@ -13,14 +13,19 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.hh"
+#include "config/canonical.hh"
 #include "config/conf.hh"
 #include "config/loader.hh"
 #include "config/strict_num.hh"
 #include "support/logging.hh"
+#include "support/str.hh"
 
 using namespace apir;
 using namespace apir::bench;
@@ -456,6 +461,15 @@ TEST(LoaderDeath, OutOfRangeKnobsAreLocatedFatal)
            "range.conf:2.*hostInterval");
     reject("[accel]\notherwiseTimeout = 0\n",
            "range.conf:2.*otherwiseTimeout");
+    reject("[cache]\nlineBytes = 4\n", "range.conf:2.*lineBytes");
+    // Oversized structural knobs: past their bounds they would
+    // exhaust memory or time building the machine.
+    reject("[cache]\nsizeBytes = 1099511627776\n",
+           "range.conf:2.*cache.sizeBytes must be <=");
+    reject("[accel]\nruleLanes = 4000000000\n",
+           "range.conf:2.*accel.ruleLanes must be <=");
+    reject("[accel]\npipelinesPerSet = 100000000\n",
+           "range.conf:2.*accel.pipelinesPerSet must be <=");
 }
 
 TEST(LoaderDeath, CrossFieldChecksUseSharedValidation)
@@ -536,6 +550,149 @@ TEST(SpecConfigDeath, CxxBuiltConfigsHitTheSameSpecChecks)
     EXPECT_EXIT(validateAccelConfig(pin),
                 ::testing::ExitedWithCode(1),
                 "spec.pinOldest requires spec.liveness");
+}
+
+// ------------------------------------------------------ knob tables
+
+namespace {
+
+/** Call fn(row, value) for every knob row, with its value in `cfg`. */
+template <typename Fn>
+void
+forEachKnob(const AccelConfig &cfg, Fn fn)
+{
+    for (const auto &row : accelKnobs())
+        row.visit(cfg, [&](auto v) { fn(row, v); });
+    for (const auto &row : memKnobs())
+        row.visit(cfg.mem, [&](auto v) { fn(row, v); });
+}
+
+/** Every knob row's value in `cfg` as text, keyed by its name. */
+std::map<std::string, std::string>
+knobValues(const AccelConfig &cfg)
+{
+    std::map<std::string, std::string> out;
+    forEachKnob(cfg, [&](const auto &row, auto v) {
+        out[row.name()] = strprintf("%.17g", double(v));
+    });
+    return out;
+}
+
+/** A knob row and a legal value for it that differs from `base`. */
+struct RowCase
+{
+    std::string name;
+    bool structural;
+    std::string value;
+};
+
+std::vector<RowCase>
+rowCases(const AccelConfig &base)
+{
+    std::vector<RowCase> out;
+    forEachKnob(base, [&](const auto &row, auto v) {
+        std::string text;
+        if constexpr (std::is_same_v<decltype(v), bool>)
+            text = v ? "false" : "true";
+        else
+            text = strprintf("%.17g", v == 0 ? 1000.0 : 2.0 * v);
+        out.push_back({row.name(), row.structural, text});
+    });
+    return out;
+}
+
+} // namespace
+
+TEST(KnobTable, EveryRowIsSettableAndKeyed)
+{
+    // Knobs a row's new value needs to stay legal, and the knobs that
+    // move with it.
+    const std::map<std::string, std::vector<std::string>> companions = {
+        {"sample.interval", {"sample.window=10"}},
+        {"spec.liveness", {"spec.pinOldest=false"}},
+    };
+    const std::map<std::string, std::string> follower = {
+        {"accel.clockHz", "mem.clockHz"},
+    };
+    const AccelConfig base = defaultAccelConfig();
+    const auto before = knobValues(base);
+    for (const RowCase &r : rowCases(base)) {
+        SCOPED_TRACE(r.name + "=" + r.value);
+        std::vector<std::string> sets = {r.name + "=" + r.value};
+        std::set<std::string> expected = {r.name};
+        if (auto c = companions.find(r.name); c != companions.end())
+            for (const std::string &set : c->second) {
+                sets.push_back(set);
+                expected.insert(set.substr(0, set.find('=')));
+            }
+        if (auto f = follower.find(r.name); f != follower.end())
+            expected.insert(f->second);
+
+        AccelConfig cfg = loadScenarioFile("", base, sets).accel;
+        // The row's member took the value, and no other row's did.
+        std::set<std::string> changed;
+        for (const auto &[name, value] : knobValues(cfg))
+            if (value != before.at(name))
+                changed.insert(name);
+        EXPECT_EQ(changed, expected);
+        EXPECT_NE(configCanonicalKey(cfg), configCanonicalKey(base));
+        EXPECT_EQ(configStructuralKey(cfg) != configStructuralKey(base),
+                  r.structural);
+    }
+}
+
+TEST(KnobTable, DefaultKeysAreByteStable)
+{
+    // Checkpoint headers and the apird result store hold these
+    // strings: reordering or respelling a row must not change them.
+    EXPECT_EQ(configCanonicalKey(defaultAccelConfig()),
+              "accel.pipelinesPerSet=4|accel.ruleLanes=32|"
+              "accel.queueBanks=4|accel.queueBankCapacity=65536|"
+              "accel.lsuEntries=8|accel.lsuInOrder=0|accel.fifoDepth=2|"
+              "accel.rendezvousEntries=32|accel.otherwiseTimeout=64|"
+              "accel.deadlockCycles=0|accel.maxCycles=68719476736|"
+              "accel.fastForward=1|accel.clockHz=200000000|"
+              "spec.liveness=1|spec.backoffBase=4|spec.pinOldest=1|"
+              "accel.hostBatch=0|accel.hostInterval=256|"
+              "mem.bandwidthScale=1|mem.clockHz=200000000|"
+              "cache.sizeBytes=65536|cache.lineBytes=64|"
+              "cache.hitLatency=14|cache.mshrs=32|"
+              "cache.prefetchNextLine=0|qpi.bytesPerCycle=35|"
+              "qpi.latency=40|sample.interval=0|sample.window=0");
+    EXPECT_EQ(configStructuralKey(defaultAccelConfig()),
+              "accel.pipelinesPerSet=4|accel.ruleLanes=32|"
+              "accel.queueBanks=4|accel.queueBankCapacity=65536|"
+              "accel.lsuEntries=8|accel.fifoDepth=2|"
+              "accel.rendezvousEntries=32|cache.sizeBytes=65536|"
+              "cache.lineBytes=64|cache.mshrs=32");
+}
+
+TEST(KnobTable, DocsListExactlyTheTableRows)
+{
+    std::ifstream in(std::string(APIR_DOCS_DIR) + "/configs.md");
+    ASSERT_TRUE(in.good());
+    // "### `[cache]` ..." opens a knob section, any other heading
+    // closes it, and "| `sizeBytes` | ..." documents one knob.
+    std::set<std::string> documented;
+    std::string section, line;
+    while (std::getline(in, line)) {
+        if (line.rfind("### `[", 0) == 0)
+            section = line.substr(6, line.find("]`") - 6);
+        else if (line.rfind("#", 0) == 0)
+            section.clear();
+        else if (!section.empty() && line.rfind("| `", 0) == 0)
+            documented.insert(section + "." +
+                              line.substr(3, line.find('`', 3) - 3));
+    }
+    // [scenario] and [workload] describe the run, not the machine;
+    // the loader reads them by hand.
+    std::erase_if(documented, [](const std::string &k) {
+        return k.starts_with("scenario.") || k.starts_with("workload.");
+    });
+    std::set<std::string> rows;
+    for (const auto &[name, value] : knobValues(defaultAccelConfig()))
+        rows.insert(name);
+    EXPECT_EQ(documented, rows);
 }
 
 // ------------------------------------- shared validation hardening

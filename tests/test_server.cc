@@ -376,6 +376,19 @@ TEST(SimService, BadRequestsBecomeErrorResponsesNotExits)
         svc.handle(badScenario).rfind("{\"status\":\"error\"", 0), 0u);
 }
 
+TEST(SimService, OversizedKnobIsAnErrorNamingIt)
+{
+    // Past its table bound a knob is a fatal naming it, not a
+    // std::bad_alloc from building the machine.
+    SimService svc(APIR_SCENARIO_DIR);
+    std::string resp = svc.handle(parseRequest(
+        R"({"app":"SPEC-BFS","scale":0.02,)"
+        R"("set":["cache.sizeBytes=1099511627776"]})").sim);
+    EXPECT_EQ(resp.rfind("{\"status\":\"error\"", 0), 0u);
+    EXPECT_NE(resp.find("cache.sizeBytes must be <="), std::string::npos)
+        << resp;
+}
+
 TEST(SimService, MaxScaleIsAnAdmissionValve)
 {
     SimService svc(APIR_SCENARIO_DIR, 0.5);
