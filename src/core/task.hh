@@ -36,9 +36,25 @@ struct TaskIndex
 {
     std::array<uint32_t, kMaxIndexDepth> c{};
 
-    auto operator<=>(const TaskIndex &) const = default;
+    /**
+     * Lexicographic over c[0..3], computed as two packed 64-bit words
+     * (c[0]:c[1], then c[2]:c[3]): every key set, heap-queue map and
+     * owner test compares indices, so two compares beat four.
+     */
+    std::strong_ordering
+    operator<=>(const TaskIndex &o) const
+    {
+        if (auto hi = word(0) <=> o.word(0); hi != 0)
+            return hi;
+        return word(2) <=> o.word(2);
+    }
+    bool operator==(const TaskIndex &) const = default;
 
     std::string toString() const;
+
+  private:
+    static_assert(kMaxIndexDepth == 4, "operator<=> packs two words");
+    uint64_t word(int i) const { return uint64_t(c[i]) << 32 | c[i + 1]; }
 };
 
 /** Loop-construct taxonomy (Section 4.1). */

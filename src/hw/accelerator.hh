@@ -158,7 +158,7 @@ class Accelerator
     MemorySystem &mem_;
 
     /**
-     * Shared node pool for every key multiset and heap map in this
+     * Shared node pool for every order-key set and heap map in this
      * accelerator (live keys, retry sets, rendezvous waiters, task
      * heaps). Declared before all of them: they allocate from it at
      * construction and must release into it before it dies.

@@ -14,7 +14,7 @@ LivenessUnit::LivenessUnit(const AccelConfig &cfg,
                            const LiveKeyTracker &tracker, PoolArena *arena)
     : enabled_(cfg.specLiveness), pinOldest_(cfg.specPinOldest),
       backoffBase_(cfg.specBackoffBase), mem_(mem), tracker_(tracker),
-      arenaRef_(arena), retrying_(arenaRef_.allocator<HwOrderKey>())
+      retrying_(arena)
 {
     // A backed-off machine is idle but alive; keep the longest
     // possible delay well inside the watchdog window so the watchdog
@@ -56,9 +56,8 @@ LivenessUnit::onRetryTokenDead(const HwOrderKey &key)
 {
     if (!enabled_)
         return;
-    auto it = retrying_.find(key);
-    APIR_ASSERT(it != retrying_.end(), "retry death of untracked key");
-    retrying_.erase(it);
+    bool live = retrying_.erase(key);
+    APIR_ASSERT(live, "retry death of untracked key");
     refreshOwner();
 }
 
@@ -113,8 +112,7 @@ template <typename Ar>
 void
 LivenessUnit::serialize(Ar &ar)
 {
-    ar.seq(retrying_);
-    ar(owner_, squashRetries_, backoffStallCycles_, ownerChanges_,
+    ar(retrying_, owner_, squashRetries_, backoffStallCycles_, ownerChanges_,
        maxStreak_);
 }
 

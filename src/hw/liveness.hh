@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "hw/live_keys.hh"
@@ -90,7 +89,7 @@ class LivenessUnit
      * The live-key tracker changed through a non-retry token (first
      * activation pushed, expander clone, token death). The global
      * minimum may have moved onto or off the oldest retry, so
-     * ownership is re-derived; cheap (two multiset begins).
+     * ownership is re-derived; cheap (two key-set minimums).
      */
     void noteLiveSetChanged() { refreshOwner(); }
 
@@ -175,9 +174,8 @@ class LivenessUnit
     uint64_t parkDelay_; //!< expeditable non-owner hold (see above)
     MemorySystem &mem_;
     const LiveKeyTracker &tracker_;
-    ArenaRef arenaRef_; //!< declared before retrying_ (allocator source)
     /** Order keys of all live retry tokens (queued or in flight). */
-    HwOrderKeySet retrying_;
+    CountedKeySet retrying_;
     /** The pinning owner: minimum key in retrying_, when pinning. */
     std::optional<HwOrderKey> owner_;
     Counter squashRetries_;     //!< retry activations (squash count)

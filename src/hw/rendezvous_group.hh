@@ -12,8 +12,6 @@
 #ifndef APIR_HW_RENDEZVOUS_GROUP_HH
 #define APIR_HW_RENDEZVOUS_GROUP_HH
 
-#include <set>
-
 #include "hw/live_keys.hh"
 #include "support/wake.hh"
 
@@ -24,13 +22,12 @@ class RendezvousGroup
 {
   public:
     explicit RendezvousGroup(PoolArena *arena = nullptr)
-        : arenaRef_(arena),
-          waiting_(arenaRef_.allocator<HwOrderKey>()) {}
+        : waiting_(arena) {}
 
     void
     insert(const HwOrderKey &k)
     {
-        if (waiting_.empty() || k < *waiting_.begin())
+        if (waiting_.empty() || k < waiting_.min())
             onMinChange_.raise();
         waiting_.insert(k);
     }
@@ -38,11 +35,9 @@ class RendezvousGroup
     void
     erase(const HwOrderKey &k)
     {
-        auto it = waiting_.find(k);
-        APIR_ASSERT(it != waiting_.end(),
-                    "rendezvous group lost a waiter");
-        waiting_.erase(it);
-        if (waiting_.empty() || k < *waiting_.begin())
+        bool waited = waiting_.erase(k);
+        APIR_ASSERT(waited, "rendezvous group lost a waiter");
+        if (waiting_.empty() || k < waiting_.min())
             onMinChange_.raise();
     }
 
@@ -55,19 +50,14 @@ class RendezvousGroup
     bool empty() const { return waiting_.empty(); }
 
     /** True if k is (one of) the minimum waiting keys. */
-    bool
-    isMin(const HwOrderKey &k) const
-    {
-        return !waiting_.empty() && !(*waiting_.begin() < k);
-    }
+    bool isMin(const HwOrderKey &k) const { return waiting_.isMin(k); }
 
     /** Checkpoint field list: the waiting-key multiset. */
     template <typename Ar>
-    void serialize(Ar &ar) { ar.seq(waiting_); }
+    void serialize(Ar &ar) { ar(waiting_); }
 
   private:
-    ArenaRef arenaRef_; //!< declared before waiting_ (allocator source)
-    HwOrderKeySet waiting_;
+    CountedKeySet waiting_;
     WakeEdge onMinChange_;
 };
 

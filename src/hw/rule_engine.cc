@@ -16,20 +16,24 @@ RuleEngine::RuleEngine(const RuleSpec &spec, uint32_t lanes)
 uint32_t
 RuleEngine::alloc(const RuleParams &params)
 {
-    // Rotating-priority allocator, like the queue's wavefront scheme.
-    for (uint32_t i = 0; i < lanes_.size(); ++i) {
-        uint32_t lane = (nextLane_ + i) % lanes_.size();
+    // Rotating-priority allocator, like the queue's wavefront scheme:
+    // scan from nextLane_, wrapping by compare rather than division.
+    const uint32_t n = numLanes();
+    uint32_t lane = nextLane_;
+    for (uint32_t i = 0; i < n; ++i) {
         if (!lanes_[lane].valid) {
             lanes_[lane].valid = true;
             lanes_[lane].resolved = false;
             lanes_[lane].verdict = false;
             lanes_[lane].params = params;
-            nextLane_ = (lane + 1) % lanes_.size();
+            nextLane_ = lane + 1 == n ? 0 : lane + 1;
             ++allocs_;
             ++inUse_;
             maxInUse_ = std::max(maxInUse_, inUse_);
             return lane;
         }
+        if (++lane == n)
+            lane = 0;
     }
     ++allocFails_;
     return kNoLane;

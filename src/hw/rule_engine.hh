@@ -91,6 +91,8 @@ class RuleEngine
     uint64_t otherwiseFires() const { return otherwiseFires_.value(); }
     uint64_t fallbackFires() const { return fallbackFires_.value(); }
     uint32_t lanesInUse() const { return inUse_; }
+    /** The lane the next alloc scans from (rotating priority). */
+    uint32_t nextLane() const { return nextLane_; }
     uint32_t maxLanesInUse() const { return maxInUse_; }
 
     /** Register this engine's statistics under `component`. */
@@ -109,6 +111,8 @@ class RuleEngine
         ar.fixed(lanes_, "rule-engine lanes");
         ar(nextLane_, inUse_, maxInUse_, allocs_, allocFails_, events_,
            clauseFires_, otherwiseFires_, fallbackFires_);
+        ar.check(nextLane_ < lanes_.size(), "has rule-engine next lane ",
+                 nextLane_, " past its ", lanes_.size(), " lanes");
     }
 
   private:

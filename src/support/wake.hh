@@ -215,17 +215,16 @@ class WakeCalendar
     uint64_t
     confirmedMin(Fn &&wakeOf)
     {
-        std::vector<uint32_t> owners;
         for (;;) {
             uint64_t at = min();
             if (at - cursor_ >= kWheel)
                 return at;
-            owners.clear();
+            owners_.clear();
             for (uint32_t slot : wheel_[at & (kWheel - 1)])
                 if (timer_[slot] == at)
-                    owners.push_back(slot);
+                    owners_.push_back(slot);
             bool moved = false;
-            for (uint32_t slot : owners) {
+            for (uint32_t slot : owners_) {
                 uint64_t w = wakeOf(slot);
                 if (w != at) {
                     arm(slot, w);
@@ -287,6 +286,7 @@ class WakeCalendar
     std::vector<uint64_t> now_;   //!< stages ticking this cycle
     std::vector<uint64_t> next_;  //!< stages ticking next cycle
     std::vector<uint32_t> dirty_; //!< timer slots to re-ask
+    std::vector<uint32_t> owners_; //!< confirmedMin scratch, reused
     std::vector<uint8_t> dirtyFlag_;
     uint32_t pos_ = 0; //!< stages >= pos_ still tick this cycle
 };

@@ -2,15 +2,24 @@
  * @file
  * Unit tests of the hardware templates: registered FIFOs, the
  * multi-bank task queue with wavefront arbitration, the rule engine,
- * the live-key tracker, and small synthetic accelerators exercising
- * individual stage kinds.
+ * the counted order-key set and live-key tracker, the task-index
+ * order, and small synthetic accelerators exercising individual stage
+ * kinds.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <random>
+#include <set>
 #include <sstream>
 
 #include "bdfg/builder.hh"
+#include "checkpoint/ckpt.hh"
 #include "hw/accelerator.hh"
 #include "hw/fifo.hh"
 #include "hw/rendezvous_group.hh"
@@ -22,6 +31,41 @@
 
 namespace apir {
 namespace {
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/**
+ * Write a checkpoint file `name` (under the test temp dir) whose one
+ * section holds what `fields(writer)` writes; returns its path.
+ */
+template <typename Fn>
+std::string
+saveSection(const std::string &name, Fn &&fields)
+{
+    std::string path = ::testing::TempDir() + name;
+    ckpt::Writer w;
+    w.begin("state");
+    fields(w);
+    w.end();
+    w.finish(path);
+    return path;
+}
+
+/** Restore `obj` from a file written by saveSection. */
+template <typename T>
+void
+restoreSection(const std::string &path, T &obj)
+{
+    ckpt::Reader r(path);
+    r.begin("state");
+    r(obj);
+    r.end();
+}
 
 // ------------------------------------------------------------- SimFifo
 
@@ -367,6 +411,120 @@ TEST(RuleEngine, OtherwiseAndRelease)
     EXPECT_EQ(eng.otherwiseFires(), 1u);
 }
 
+/**
+ * The rotating-priority allocator as it was written before the scan
+ * wrapped by compare: `%` per lane. Kept here only as the reference
+ * the engine's lane sequence must reproduce.
+ */
+struct ModuloLaneFile
+{
+    explicit ModuloLaneFile(uint32_t n) : valid(n, false) {}
+
+    uint32_t
+    alloc()
+    {
+        for (uint32_t i = 0; i < valid.size(); ++i) {
+            uint32_t lane = (next + i) % valid.size();
+            if (!valid[lane]) {
+                valid[lane] = true;
+                next = (lane + 1) % valid.size();
+                return lane;
+            }
+        }
+        ++fails;
+        return kNoLane;
+    }
+
+    std::vector<bool> valid;
+    uint32_t next = 0;
+    uint64_t fails = 0;
+};
+
+TEST(RuleEngine, CompareWrapScanMatchesModuloAllocator)
+{
+    for (uint32_t lanes : {1u, 7u, 32u, 4096u}) {
+        SCOPED_TRACE(lanes);
+        std::mt19937_64 rng(lanes);
+        auto eng = std::make_unique<RuleEngine>(conflictRule(), lanes);
+        ModuloLaneFile ref(lanes);
+        std::vector<uint32_t> held; // allocated lanes, in no order
+        std::vector<bool> resolved(lanes, false);
+        const uint32_t steps = 3 * lanes + 300;
+        for (uint32_t step = 0; step < steps; ++step) {
+            if (step == steps / 2) {
+                // Continue the trace on an engine restored mid-flight.
+                auto save = [&](ckpt::Writer &w) { w(*eng); };
+                std::string path = saveSection("lanes", save);
+                std::string saved = fileBytes(path);
+                eng = std::make_unique<RuleEngine>(conflictRule(), lanes);
+                restoreSection(path, *eng);
+                ASSERT_EQ(fileBytes(saveSection("lanes", save)), saved);
+            }
+            // Fill for the first two thirds (so the file overflows and
+            // allocs fail), then drain.
+            uint64_t allocPct = step < 2 * steps / 3 ? 90 : 30;
+            uint64_t roll = rng() % 100;
+            if (held.empty() || roll < allocPct) {
+                uint32_t lane = eng->alloc(RuleParams{});
+                ASSERT_EQ(lane, ref.alloc()) << "step " << step;
+                if (lane != kNoLane) {
+                    held.push_back(lane);
+                    resolved[lane] = false;
+                }
+            } else {
+                size_t pick = rng() % held.size();
+                uint32_t lane = held[pick];
+                ASSERT_EQ(eng->resolved(lane), resolved[lane]);
+                if (!resolved[lane] && rng() % 2) {
+                    eng->fireOtherwise(lane, false);
+                    resolved[lane] = true;
+                } else {
+                    eng->release(lane);
+                    ref.valid[lane] = false;
+                    held[pick] = held.back();
+                    held.pop_back();
+                }
+            }
+            ASSERT_EQ(eng->nextLane(), ref.next) << "step " << step;
+            ASSERT_EQ(eng->allocFails(), ref.fails) << "step " << step;
+            ASSERT_EQ(eng->lanesInUse(), held.size());
+        }
+        EXPECT_GT(ref.fails, 0u); // the trace did overflow the file
+    }
+}
+
+TEST(RuleEngine, RestoredNextLanePastTheLanesIsFatal)
+{
+    // The scan wraps by compare, so a corrupt file's allocation pointer
+    // must be rejected on restore rather than index past the lanes.
+    RuleEngine eng(conflictRule(), 4);
+    eng.alloc(RuleParams{});
+    eng.alloc(RuleParams{});
+    std::string path =
+        saveSection("next_lane", [&](ckpt::Writer &w) { w(eng); });
+    std::string bytes = fileBytes(path);
+    // The section ends with nextLane_, inUse_, maxInUse_ (u32 each)
+    // and six u64 counters.
+    size_t at = bytes.size() - (3 * 4 + 6 * 8);
+    uint32_t saved = 0;
+    std::memcpy(&saved, bytes.data() + at, sizeof saved);
+    ASSERT_EQ(saved, eng.nextLane());
+    uint32_t past = eng.numLanes();
+    std::memcpy(bytes.data() + at, &past, sizeof past);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+    RuleEngine back(conflictRule(), 4);
+    ScopedFatalThrows guard;
+    try {
+        restoreSection(path, back);
+        FAIL() << "restore accepted next lane " << past;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("next lane 4 past its 4 lanes"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // ------------------------------------------------------ LiveKeyTracker
 
 TEST(LiveKeyTracker, DefaultOrderIsIndex)
@@ -393,6 +551,126 @@ TEST(LiveKeyTracker, CustomKeyOverridesIndex)
     t.insert(t.keyOf(a));
     t.insert(t.keyOf(b));
     EXPECT_EQ(t.min(), t.keyOf(b)); // smaller payload key wins
+}
+
+// ------------------------------------------------------- CountedKeySet
+
+/** withinOldest exactly as the std::multiset tracker computed it. */
+bool
+multisetWithinOldest(const std::multiset<HwOrderKey> &ref,
+                     const HwOrderKey &k, size_t window)
+{
+    auto it = ref.begin();
+    for (size_t i = 0; i < window && it != ref.end(); ++i, ++it) {
+        if (*it == k)
+            return true;
+        if (k < *it)
+            return false;
+    }
+    return false;
+}
+
+void
+expectSameAsMultiset(const CountedKeySet &set,
+                     const std::multiset<HwOrderKey> &ref,
+                     const std::vector<HwOrderKey> &probes)
+{
+    ASSERT_EQ(set.size(), ref.size());
+    ASSERT_EQ(set.empty(), ref.empty());
+    if (!ref.empty()) {
+        ASSERT_EQ(set.min(), *ref.begin());
+    }
+    for (const HwOrderKey &k : probes) {
+        ASSERT_EQ(set.isMin(k), !ref.empty() && !(*ref.begin() < k));
+        for (size_t window = 1; window <= 9; ++window)
+            ASSERT_EQ(set.withinOldest(k, window),
+                      multisetWithinOldest(ref, k, window))
+                << "window " << window << " count " << ref.count(k);
+    }
+}
+
+TEST(CountedKeySet, MatchesMultisetUnderDuplicateHeavyTraces)
+{
+    // A small key pool (custom keys 0/7, indices from 0/1/0xffffffff
+    // in two positions) so most inserts repeat a live key, as Expand
+    // children do.
+    std::vector<HwOrderKey> pool;
+    for (uint64_t custom : {0ull, 7ull})
+        for (uint32_t a : {0u, 1u, 0xffffffffu})
+            for (uint32_t b : {0u, 1u, 0xffffffffu})
+                pool.push_back({custom, TaskIndex{{a, 0, b, 0}}});
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
+        std::mt19937_64 rng(seed);
+        CountedKeySet set;
+        std::multiset<HwOrderKey> ref;
+        for (int step = 0; step < 600; ++step) {
+            // Grow for the first half, shrink for the second.
+            uint64_t insertPct = step < 300 ? 65 : 35;
+            HwOrderKey k = pool[rng() % pool.size()];
+            if (ref.empty() || rng() % 100 < insertPct) {
+                set.insert(k);
+                ref.insert(k);
+            } else {
+                auto it = ref.find(k);
+                ASSERT_EQ(set.erase(k), it != ref.end());
+                if (it != ref.end())
+                    ref.erase(it);
+            }
+            std::vector<HwOrderKey> probes = {k, pool[rng() % pool.size()]};
+            if (!ref.empty())
+                probes.push_back(*std::next(ref.begin(),
+                                            rng() % ref.size()));
+            expectSameAsMultiset(set, ref, probes);
+
+            if (step % 50 == 49) {
+                // Same bytes as the multiset it replaced, and a restore
+                // rebuilds the same counts.
+                std::string mine = saveSection(
+                    "counted_keys", [&](ckpt::Writer &w) { w(set); });
+                std::string theirs = saveSection(
+                    "multiset_keys", [&](ckpt::Writer &w) { w.seq(ref); });
+                ASSERT_EQ(fileBytes(mine), fileBytes(theirs));
+                CountedKeySet back;
+                back.insert(pool[0]); // a restore replaces old contents
+                restoreSection(mine, back);
+                expectSameAsMultiset(back, ref, pool);
+                for (const HwOrderKey &p : pool) {
+                    size_t n = 0;
+                    while (back.erase(p))
+                        ++n;
+                    ASSERT_EQ(n, ref.count(p));
+                }
+                ASSERT_TRUE(back.empty());
+            }
+        }
+    }
+}
+
+TEST(TaskIndex, OrderIsLexicographicOverComponents)
+{
+    // Every pair of tuples over the edge values: the first difference
+    // falls at each of the four positions, with every combination of
+    // the values before, at and after it.
+    const uint32_t edges[] = {0u, 1u, 0xffffffffu};
+    std::vector<TaskIndex> all;
+    for (uint32_t a : edges)
+        for (uint32_t b : edges)
+            for (uint32_t c : edges)
+                for (uint32_t d : edges)
+                    all.push_back(TaskIndex{{a, b, c, d}});
+    for (const TaskIndex &x : all) {
+        for (const TaskIndex &y : all) {
+            bool less = std::lexicographical_compare(
+                x.c.begin(), x.c.end(), y.c.begin(), y.c.end());
+            bool greater = std::lexicographical_compare(
+                y.c.begin(), y.c.end(), x.c.begin(), x.c.end());
+            ASSERT_EQ(x < y, less) << x.toString() << " " << y.toString();
+            ASSERT_EQ(x > y, greater);
+            ASSERT_EQ(x == y, x.c == y.c);
+            ASSERT_EQ((x <=> y) == 0, x.c == y.c);
+        }
+    }
 }
 
 // --------------------------------------- synthetic micro-accelerators

@@ -25,15 +25,16 @@ so are far more stable than absolute seconds.
 
 With --check, the fresh run is compared against a previously written
 record: any benchmark whose cycles_per_sec drops more than the
-tolerance below the baseline, whose stage_visits rise more than 5%
-above it (visits are deterministic, so no noise allowance: a rise
-means stages stopped sleeping), a restore speedup more than the
-tolerance below the baseline's, or a save overhead more than the
-tolerance above it fails the run (exit nonzero, all regressions
-listed). The scales must match, otherwise the comparison is
-meaningless and the script refuses. This powers the CI perf smoke
-leg; refresh the committed baseline when the timing model or the CI
-hardware changes.
+tolerance below the baseline, whose stage_visits or arena_allocs
+rise more than 5% above it (both are deterministic, so no noise
+allowance: a rise in visits means stages stopped sleeping, one in
+allocations that the hot path allocates per token event again), a
+restore speedup more than the tolerance below the baseline's, or a
+save overhead more than the tolerance above it fails the run (exit
+nonzero, all regressions listed). The scales must match, otherwise
+the comparison is meaningless and the script refuses. This powers the
+CI perf smoke leg; refresh the committed baseline when the timing
+model or the CI hardware changes.
 """
 
 import argparse
@@ -52,8 +53,10 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DET_FIELDS = ("cycles", "tasks_executed")
 TICK_FIELDS = ("ticks", "stage_visits", "ff_skips", "skipped_cycles",
                "wake_queries", "wake_recomputes", "arena_allocs")
-# Allowed stage_visits rise over the baseline (deterministic counter).
-VISITS_TOLERANCE = 0.05
+# Deterministic counters gated against the baseline, with the rise
+# each may show (no timing noise, so no noise allowance).
+COUNT_GATES = {"stage_visits": ("stage visits", 0.05),
+               "arena_allocs": ("arena allocations", 0.05)}
 
 
 def run_micro_tick(bench, scale, reps):
@@ -154,16 +157,16 @@ def check_regression(fresh, baseline_path, tolerance):
                 f"{name}: {got:.3g} cycles/sec is more than "
                 f"{tolerance:.0%} below the baseline "
                 f"{base['cycles_per_sec']:.3g}")
-        ceiling = base["stage_visits"] * (1.0 + VISITS_TOLERANCE)
-        got = point["stage_visits"]
-        verdict = "ok  " if got <= ceiling else "FAIL"
-        print(f"{verdict} {name}: {got} stage visits "
-              f"(baseline {base['stage_visits']}, ceiling {ceiling:.0f})")
-        if got > ceiling:
-            failures.append(
-                f"{name}: {got} stage visits are more than "
-                f"{VISITS_TOLERANCE:.0%} above the baseline "
-                f"{base['stage_visits']}")
+        for field, (label, rise) in COUNT_GATES.items():
+            ceiling = base[field] * (1.0 + rise)
+            got = point[field]
+            verdict = "ok  " if got <= ceiling else "FAIL"
+            print(f"{verdict} {name}: {got} {label} "
+                  f"(baseline {base[field]}, ceiling {ceiling:.0f})")
+            if got > ceiling:
+                failures.append(
+                    f"{name}: {got} {label} are more than {rise:.0%} "
+                    f"above the baseline {base[field]}")
     # Checkpoint ratio gates: the save overhead may not grow, the
     # restore speedup may not shrink, beyond the tolerance. Both are
     # same-machine ratios, so the 30% default covers load noise, not
@@ -237,10 +240,11 @@ def write_summary(fresh, baseline_path, out_path):
                          f"| {delta} |")
     # Visits per executed tick against the useful (busy) share of
     # them: how close the scheduler comes to ticking only stages
-    # that act.
+    # that act; and arena allocations per executed tick.
     lines += ["", "| benchmark | visits_per_tick baseline | fresh "
-              "| busy_per_tick baseline | fresh |",
-              "|---|---:|---:|---:|---:|"]
+              "| busy_per_tick baseline | fresh "
+              "| allocs_per_tick baseline | fresh |",
+              "|---|---:|---:|---:|---:|---:|---:|"]
     per_tick = lambda p, c: (f"{p[c] / p['ticks']:.2f}"
                              if p.get(c) is not None and p.get("ticks")
                              else "n/a")
@@ -250,7 +254,9 @@ def write_summary(fresh, baseline_path, out_path):
         lines.append(f"| {name} | {per_tick(base, 'stage_visits')} "
                      f"| {per_tick(point, 'stage_visits')} "
                      f"| {per_tick(base, 'busy_visits')} "
-                     f"| {per_tick(point, 'busy_visits')} |")
+                     f"| {per_tick(point, 'busy_visits')} "
+                     f"| {per_tick(base, 'arena_allocs')} "
+                     f"| {per_tick(point, 'arena_allocs')} |")
     lines.append("")
     base_ck = baseline.get("checkpoint", {})
     fresh_ck = fresh.get("checkpoint", {})
