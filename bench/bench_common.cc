@@ -547,15 +547,7 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
             // installs it through restoreTopology().
             std::vector<Point> points = st->mesh.points();
             std::vector<Triangle> tris = st->mesh.triangles();
-            ar(points);
-            // Triangles are serialized field-wise: the struct has
-            // padding after its bool, and padding bytes in the file
-            // would make the byte-identity contract depend on
-            // uninitialized memory.
-            ar.seq(tris, [&ar](auto &t) {
-                ar(t.v[0], t.v[1], t.v[2], t.nbr[0], t.nbr[1], t.nbr[2],
-                   t.alive);
-            });
+            ar(points, tris);
             for (const Triangle &t : tris) {
                 for (int k = 0; k < 3; ++k) {
                     ar.check(t.v[k] < points.size() &&
@@ -661,10 +653,10 @@ runSweep(const std::vector<SweepJob> &jobs, const Workloads &w,
     if (threads == 0)
         threads = ThreadPool::hardwareThreads();
     if (threads > 1) {
-        // Trace sinks are plain ostreams/tracers with no locking; a
-        // shared sink across concurrent runs would interleave noise.
+        // The tracer has no locking; a shared one across concurrent
+        // runs would interleave noise.
         for (const SweepJob &j : jobs)
-            if (j.cfg.trace || j.cfg.tracer)
+            if (j.cfg.tracer)
                 fatal("runSweep: jobs with trace hooks require "
                       "--threads 1");
     }

@@ -201,8 +201,8 @@ struct SweepJob
  * own MemorySystem, Accelerator, and StatRegistry) on up to `threads`
  * workers (0 = hardware concurrency) and return results in submission
  * order. Results are bit-identical to a serial run regardless of the
- * thread count. Jobs may not carry trace hooks (cfg.trace /
- * cfg.tracer) when threads > 1: those sinks are not synchronized.
+ * thread count. Jobs may not carry a tracer (cfg.tracer) when
+ * threads > 1: it is not synchronized.
  */
 std::vector<AccelRun> runSweep(const std::vector<SweepJob> &jobs,
                                const Workloads &w, unsigned threads);

@@ -31,6 +31,14 @@ struct Token
     uint64_t okey = 0;       //!< custom order key (0 if index-ordered)
     uint64_t serial = 0;     //!< unique id, for debugging/stats
     uint32_t retries = 0;    //!< squash-retry count (see SwTask)
+
+    /** Checkpoint field list (the struct has padding). */
+    template <typename Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(words, index, pred, lane, laneRule, okey, serial, retries);
+    }
 };
 
 } // namespace apir

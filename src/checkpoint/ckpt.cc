@@ -124,6 +124,20 @@ Reader::raw(void *p, size_t n)
     pos_ += n;
 }
 
+bool
+Reader::b()
+{
+    uint8_t v = u8();
+    if (v > 1) {
+        fatal("checkpoint: '", path_, "' has bool byte ",
+              static_cast<unsigned>(v), " at offset ", pos_ - 1,
+              inSection_ ? " in section '" : "",
+              inSection_ ? openSection_.c_str() : "",
+              inSection_ ? "'" : "", " — a bool is 0 or 1");
+    }
+    return v == 1;
+}
+
 void
 Reader::begin(const std::string &name)
 {

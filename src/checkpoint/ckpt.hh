@@ -36,7 +36,7 @@ namespace apir {
 namespace ckpt {
 
 /** Current checkpoint format version. Bump on any layout change. */
-inline constexpr uint32_t kVersion = 1;
+inline constexpr uint32_t kVersion = 2;
 
 namespace detail {
 
@@ -49,9 +49,23 @@ struct Mutable<std::pair<const K, V>> { using type = std::pair<K, V>; };
 template <typename T, typename Ar>
 concept Serializable = requires(T &t, Ar &ar) { t.serialize(ar); };
 
-/** Other trivially copyable structs are bit-copied, like pod(). */
+/**
+ * Values whose bytes are exactly their fields: no padding, which would
+ * copy whatever the process left in memory into the file. Doubles
+ * qualify too (their object representation is not unique only
+ * because of -0.0 and NaN payloads, which bits round-trip).
+ */
+template <typename T>
+inline constexpr bool kBitCopyable =
+    std::has_unique_object_representations_v<T> ||
+    std::is_floating_point_v<T>;
+
+/**
+ * Padding-free structs without their own field list are bit-copied; a
+ * struct with padding and no serialize() matches no field() overload.
+ */
 template <typename T, typename Ar>
-concept PodStruct = std::is_class_v<T> && std::is_trivially_copyable_v<T> &&
+concept PodStruct = std::is_class_v<T> && kBitCopyable<T> &&
                     !Serializable<T, Ar>;
 
 } // namespace detail
@@ -63,14 +77,17 @@ concept PodStruct = std::is_class_v<T> && std::is_trivially_copyable_v<T> &&
  * below means "save" on a Writer and "restore" on a Reader.
  *
  *   ar(a, b, c)           one call per field; the C++ type picks the
- *                         wire encoding: uint8_t/uint32_t/uint64_t/
- *                         double/bool, std::string, a pod vector,
- *                         pair, optional, a type with its own
- *                         serialize(), or a trivially copyable struct.
- *                         Other integer types do not compile.
+ *                         wire encoding: uint8_t/uint16_t/uint32_t/
+ *                         uint64_t/double/bool (one byte, 0 or 1),
+ *                         std::string, a vector, pair, optional, a
+ *                         type with its own serialize(), or a struct
+ *                         without padding. Other integer types, and
+ *                         structs with padding but no serialize(), do
+ *                         not compile: padding bytes are whatever the
+ *                         process left in memory.
  *   ar.expect(v, what)    a structural fact of the built machine:
  *                         written on save, compared on restore.
- *   ar.fixed(vec, what)   a pod vector whose length the machine fixes:
+ *   ar.fixed(vec, what)   a vector whose length the machine fixes:
  *                         bytes as ar(vec), restored in place.
  *   ar.seq(c, fn)         length-prefixed container, `fn(element)`
  *                         per element (default: ar(element)); hash
@@ -129,7 +146,7 @@ class Writer
     template <std::unsigned_integral T>
     void expect(const T &v, std::string_view) { field(v); }
     template <typename T>
-    void fixed(const std::vector<T> &v, std::string_view) { vecPod(v); }
+    void fixed(const std::vector<T> &v, std::string_view) { field(v); }
     template <typename... Ms>
     void check(bool, const Ms &...) {}
 
@@ -162,14 +179,24 @@ class Writer
     void raw(const void *p, size_t n);
 
     void field(uint8_t v) { u8(v); }
+    void field(uint16_t v) { pod(v); }
     void field(uint32_t v) { u32(v); }
     void field(uint64_t v) { u64(v); }
     void field(double v) { f64(v); }
     void field(bool v) { b(v); }
     void field(const std::string &s) { str(s); }
 
+    // One count word either way: bit-copied elements, or each
+    // element's own field list.
     template <typename T>
-    void field(const std::vector<T> &v) { vecPod(v); }
+    void
+    field(const std::vector<T> &v)
+    {
+        if constexpr (detail::kBitCopyable<T>)
+            vecPod(v);
+        else
+            seq(v);
+    }
     template <typename A, typename B>
     void field(const std::pair<A, B> &p) { field(p.first); field(p.second); }
 
@@ -217,7 +244,8 @@ class Reader
     uint32_t u32() { uint32_t v; raw(&v, sizeof(v)); return v; }
     uint64_t u64() { uint64_t v; raw(&v, sizeof(v)); return v; }
     double f64() { double v; raw(&v, sizeof(v)); return v; }
-    bool b() { return u8() != 0; }
+    /** One byte, 0 or 1; any other value is a located fatal. */
+    bool b();
 
     std::string
     str()
@@ -272,10 +300,12 @@ class Reader
     void
     fixed(std::vector<T> &v, std::string_view what)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "fixed() requires a trivially copyable type");
         expect(v.size(), what);
-        raw(v.data(), v.size() * sizeof(T));
+        if constexpr (detail::kBitCopyable<T>)
+            raw(v.data(), v.size() * sizeof(T));
+        else
+            for (T &e : v)
+                field(e);
     }
 
     template <typename C>
@@ -320,6 +350,7 @@ class Reader
                                uint64_t built) const;
 
     void field(uint8_t &v) { v = u8(); }
+    void field(uint16_t &v) { v = pod<uint16_t>(); }
     void field(uint32_t &v) { v = u32(); }
     void field(uint64_t &v) { v = u64(); }
     void field(double &v) { v = f64(); }
@@ -327,7 +358,14 @@ class Reader
     void field(std::string &s) { s = str(); }
 
     template <typename T>
-    void field(std::vector<T> &v) { v = vecPod<T>(); }
+    void
+    field(std::vector<T> &v)
+    {
+        if constexpr (detail::kBitCopyable<T>)
+            v = vecPod<T>();
+        else
+            seq(v);
+    }
     template <typename A, typename B>
     void field(std::pair<A, B> &p) { field(p.first); field(p.second); }
 
@@ -343,10 +381,9 @@ class Reader
     template <typename T>
         requires detail::Serializable<T, Reader>
     void field(T &v) { v.serialize(*this); }
-    // In place, padding included: a re-save then reproduces the file.
     template <typename T>
         requires detail::PodStruct<T, Reader>
-    void field(T &v) { raw(&v, sizeof(T)); }
+    void field(T &v) { v = pod<T>(); }
 
     std::string path_;
     std::vector<uint8_t> buf_;

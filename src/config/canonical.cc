@@ -1,6 +1,5 @@
 #include "config/canonical.hh"
 
-#include <string_view>
 #include <type_traits>
 
 #include "support/str.hh"
@@ -18,8 +17,8 @@ namespace {
 /**
  * "knob=value|..." over every knob row, structural rows only when
  * `structuralOnly`. The order is the one checkpoint headers and the
- * apird result store hold: the AccelConfig rows, with the MemConfig
- * rows spliced in ahead of sample.*.
+ * apird result store hold: the AccelConfig rows, then the MemConfig
+ * rows.
  */
 std::string
 knobKey(const AccelConfig &cfg, bool structuralOnly)
@@ -40,17 +39,10 @@ knobKey(const AccelConfig &cfg, bool structuralOnly)
                 out += std::to_string(v);
         });
     };
-    auto isSample = [](const Knob<AccelConfig> &row) {
-        return std::string_view(row.section) == "sample";
-    };
     for (const Knob<AccelConfig> &row : accelKnobs())
-        if (!isSample(row))
-            emit(row, cfg);
+        emit(row, cfg);
     for (const Knob<MemConfig> &row : memKnobs())
         emit(row, cfg.mem);
-    for (const Knob<AccelConfig> &row : accelKnobs())
-        if (isSample(row))
-            emit(row, cfg);
     return out;
 }
 

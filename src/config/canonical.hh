@@ -22,9 +22,8 @@ namespace apir {
 /**
  * Serialize every simulation-affecting knob of `cfg` (accel.*,
  * spec.*, mem.*, cache.*, qpi.*) as "knob=value|..." in a fixed
- * order. The observability hooks (trace, tracer and their windows)
- * are deliberately excluded: they never change simulated results,
- * only what gets logged about them.
+ * order. The tracer is deliberately excluded: it never changes
+ * simulated results, only what gets logged about them.
  */
 std::string configCanonicalKey(const AccelConfig &cfg);
 
@@ -34,7 +33,7 @@ std::string configCanonicalKey(const AccelConfig &cfg);
  * capacities). A checkpoint may only be restored into a machine with
  * an identical structural key; the remaining, timing-only knobs
  * (bandwidth scale, latencies, clock, fast-forward mode, liveness
- * schedule, sampling geometry) may differ, which is exactly what the
+ * schedule) may differ, which is exactly what the
  * warmup-once-sweep-many fig10 workflow needs (a canonical-key
  * mismatch on restore is a warning, not an error).
  */

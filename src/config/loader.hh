@@ -11,7 +11,7 @@
  * one shared validation path.
  *
  * Recognized sections: [scenario] (name, description), [workload]
- * (scale), the knob-table sections [accel], [spec], [sample], [mem],
+ * (scale), the knob-table sections [accel], [spec], [mem],
  * [cache], [qpi] (docs/configs.md), and [define] (free variables for
  * $(var), never validated as knobs).
  */

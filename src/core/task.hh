@@ -98,6 +98,10 @@ struct SwTask
      * Drives the liveness subsystem's exponential fallback backoff.
      */
     uint32_t retries = 0;
+
+    /** Checkpoint field list (the struct has padding). */
+    template <typename Ar>
+    void serialize(Ar &ar) { ar(set, index, data, retries); }
 };
 
 /**

@@ -29,6 +29,14 @@ struct Triangle
     uint32_t v[3];
     TriId nbr[3]; // nbr[i] shares edge (v[(i+1)%3], v[(i+2)%3])
     bool alive = true;
+
+    /** Checkpoint field list (the struct has padding). */
+    template <typename Ar>
+    void
+    serialize(Ar &ar)
+    {
+        ar(v[0], v[1], v[2], nbr[0], nbr[1], nbr[2], alive);
+    }
 };
 
 /**

@@ -33,6 +33,10 @@ struct Point
     {
         return a.x == b.x && a.y == b.y;
     }
+
+    /** Checkpoint field list. */
+    template <typename Ar>
+    void serialize(Ar &ar) { ar(x, y); }
 };
 
 /** Squared Euclidean distance. */

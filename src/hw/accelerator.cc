@@ -1,7 +1,6 @@
 #include "hw/accelerator.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/logging.hh"
 #include "support/str.hh"
@@ -299,11 +298,6 @@ Accelerator::run()
                 mem_.mshrWaiters().subscribe(calendar_, i);
         });
         busyStageCycles_ += busy_this_tick;
-        // Interval sampling: busy stages only show up at executed
-        // ticks (skipped stretches are no-progress by construction),
-        // so accumulating here covers every busy cycle in a window.
-        if (busy_this_tick && inSampleWindow(cycle))
-            sampledBusyCycles_ += busy_this_tick;
         if (busy_this_tick)
             lastProgressCycle_ = cycle;
         if (cfg_.fastForward)
@@ -423,31 +417,6 @@ Accelerator::run()
     sum.set("squashed", static_cast<double>(res.squashed));
     sum.set("fallback_fires", static_cast<double>(res.fallbackFires));
     res.groups.push_back(std::move(sum));
-
-    // Interval-sampling estimate vs. the exact value. Emitted only
-    // when sampling is enabled so the default stats-json is unchanged.
-    if (cfg_.sampleInterval > 0) {
-        uint64_t measured = measuredCyclesUpTo(res.cycles);
-        double sampled_util =
-            stages_.empty() || measured == 0
-                ? 0.0
-                : static_cast<double>(sampledBusyCycles_) /
-                      (static_cast<double>(stages_.size()) * measured);
-        StatGroup sg("sampling");
-        sg.set("interval", static_cast<double>(cfg_.sampleInterval));
-        sg.set("window", static_cast<double>(cfg_.sampleWindow));
-        sg.set("measured_cycles", static_cast<double>(measured));
-        sg.set("sampled_busy_stage_cycles",
-               static_cast<double>(sampledBusyCycles_));
-        sg.set("sampled_utilization", sampled_util);
-        sg.set("exact_utilization", res.utilization);
-        sg.set("utilization_rel_error",
-               res.utilization > 0.0
-                   ? std::abs(sampled_util - res.utilization) /
-                         res.utilization
-                   : 0.0);
-        res.groups.push_back(std::move(sg));
-    }
     return res;
 }
 
@@ -460,18 +429,6 @@ Accelerator::settleStages(uint64_t cycle)
             accounted_[i] = cycle;
         }
     }
-}
-
-uint64_t
-Accelerator::measuredCyclesUpTo(uint64_t c) const
-{
-    // Count of cycles x in [0, c) with x % interval < window: full
-    // periods contribute `window` each, the tail its clipped prefix.
-    // Arithmetic (not accumulated at tick time) so fast-forwarded
-    // stretches are counted in the denominator exactly like executed
-    // ones.
-    uint64_t i = cfg_.sampleInterval, w = cfg_.sampleWindow;
-    return (c / i) * w + std::min(c % i, w);
 }
 
 void
@@ -493,7 +450,7 @@ Accelerator::ckptSave(ckpt::Writer &w) const
 void
 Accelerator::ckptRestore(ckpt::Reader &r)
 {
-    if (cfg_.trace || cfg_.tracer) {
+    if (cfg_.tracer) {
         fatal("checkpoint: cannot restore '", r.path(),
               "' with trace hooks attached — trace events before the "
               "checkpoint cannot be replayed, so the restored trace "
@@ -509,8 +466,7 @@ void
 Accelerator::serialize(Ar &ar)
 {
     ar.begin("accel.core");
-    ar(cycle_, busyStageCycles_, serial_, hostPos_, lastProgressCycle_,
-       sampledBusyCycles_);
+    ar(cycle_, busyStageCycles_, serial_, hostPos_, lastProgressCycle_);
     ar.end();
 
     ar.begin("accel.tracker");

@@ -188,20 +188,9 @@ class Accelerator
     uint64_t cycle_ = 0;
     uint64_t busyStageCycles_ = 0;
     bool restored_ = false; //!< run() resumes at cycle_ instead of 0
-    /** Busy-stage cycles observed inside measured sampling windows. */
-    uint64_t sampledBusyCycles_ = 0;
     uint64_t saveCycle_ = ~0ull; //!< armed checkpoint-save cycle
     std::function<void()> saveHook_;
     bool saveDone_ = false;
-    /** Cycles in [0, c) inside measured windows (pure arithmetic). */
-    uint64_t measuredCyclesUpTo(uint64_t c) const;
-    /** Is executed cycle `c` inside a measured sampling window? */
-    bool
-    inSampleWindow(uint64_t c) const
-    {
-        return cfg_.sampleInterval > 0 &&
-               c % cfg_.sampleInterval < cfg_.sampleWindow;
-    }
     StatRegistry registry_;
 };
 

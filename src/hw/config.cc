@@ -57,10 +57,6 @@ accelKnobs()
         // The host feed fires when cycle % hostInterval == 0.
         {"accel", "hostInterval", field<&A::hostInterval>, 1, kMaxWall,
          false},
-        // 0 = no interval sampling.
-        {"sample", "interval", field<&A::sampleInterval>, 0, kMaxWall,
-         false},
-        {"sample", "window", field<&A::sampleWindow>, 0, kMaxWall, false},
     };
     return rows;
 }
@@ -83,12 +79,6 @@ validateAccelConfig(const AccelConfig &cfg)
     require(cfg.deadlockCycles <= cfg.maxCycles,
             "deadlockCycles must not exceed maxCycles (the watchdog "
             "would never fire before the cycle wall)");
-    require(cfg.sampleInterval == 0 ||
-                (cfg.sampleWindow >= 1 &&
-                 cfg.sampleWindow < cfg.sampleInterval),
-            "sample.interval > 0 requires 1 <= sample.window < "
-            "sample.interval (a window covering the whole interval "
-            "is not sampling, and an empty window measures nothing)");
     require(!cfg.specPinOldest || cfg.specLiveness,
             "spec.pinOldest requires spec.liveness (the pinning "
             "protocol rides the squash-retry tracking of the "

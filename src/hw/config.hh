@@ -9,7 +9,6 @@
 #define APIR_HW_CONFIG_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "mem/memsys.hh"
@@ -107,31 +106,6 @@ struct AccelConfig
     uint64_t hostInterval = 256;
 
     /**
-     * Interval sampling (docs/checkpointing.md): when
-     * sampleInterval > 0, the run additionally estimates utilization
-     * from measured windows — the first sampleWindow cycles of every
-     * sampleInterval-cycle period — and reports the sampled estimate
-     * next to the exact value (plus their relative error) in a
-     * "sampling" stat group. The simulation itself is unchanged and
-     * every other statistic stays byte-identical; the error column is
-     * the methodology check for choosing window geometry at scales
-     * where only sampled runs are affordable. Config-file spelling:
-     * sample.interval / sample.window.
-     */
-    uint64_t sampleInterval = 0;
-    uint64_t sampleWindow = 0;
-
-    /**
-     * Cycle trace: when non-null, every stage firing in
-     * [traceFrom, traceTo) appends a "<cycle> <pipeline>/<stage>"
-     * line — a lightweight waveform for debugging schedules (the
-     * gem5 trace-based-debugging idiom). Not owned.
-     */
-    std::ostream *trace = nullptr;
-    uint64_t traceFrom = 0;
-    uint64_t traceTo = ~0ull;
-
-    /**
      * Structured tracer: when non-null, stage firings, per-queue
      * depth series, and QPI busy intervals inside the tracer's own
      * cycle window are emitted as Chrome trace_event JSON (open in
@@ -143,9 +117,9 @@ struct AccelConfig
 };
 
 /**
- * The AccelConfig knob table (accel.*, spec.*, sample.*), in
- * canonical-key order; the nested MemConfig has its own, memKnobs().
- * The trace hooks and the tracer are not knobs.
+ * The AccelConfig knob table (accel.*, spec.*), in canonical-key
+ * order; the nested MemConfig has its own, memKnobs(). The tracer is
+ * not a knob.
  */
 const std::vector<Knob<AccelConfig>> &accelKnobs();
 
@@ -155,8 +129,8 @@ const std::vector<Knob<AccelConfig>> &accelKnobs();
  * accelKnobs() row bounds: zero-sized structural knobs would build an
  * accelerator that can only deadlock, and oversized ones would
  * exhaust memory or time before the first cycle. The cross-field
- * rules follow (the watchdog window, pinning needs liveness, the
- * sampling window), and the nested MemConfig is checked by
+ * rules follow (the watchdog window, pinning needs liveness), and
+ * the nested MemConfig is checked by
  * validateMemConfig. This is the one shared validation path: the
  * Accelerator constructor calls it for C++-built configs and the
  * scenario loader calls it for file-loaded ones.

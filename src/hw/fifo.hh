@@ -158,8 +158,6 @@ class SimFifo
     void
     serialize(Ar &ar)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "SimFifo checkpointing needs a pod item type");
         ar.expect(capacity_, "FIFO slots");
         uint64_t ringItems = tail_ - head_;
         ar(maxOccupancy_, ringItems);

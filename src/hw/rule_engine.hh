@@ -122,6 +122,9 @@ class RuleEngine
         bool resolved = false;
         bool verdict = false;
         RuleParams params;
+
+        template <typename Ar>
+        void serialize(Ar &ar) { ar(valid, resolved, verdict, params); }
     };
 
     RuleSpec spec_;

@@ -29,13 +29,6 @@ Stage::tick(uint64_t cycle)
         ++st_.idle;
     lastBusy_ = fired_;
 
-    if (fired_ && ctx_.cfg->trace && cycle >= ctx_.cfg->traceFrom &&
-        cycle < ctx_.cfg->traceTo) {
-        *ctx_.cfg->trace << cycle << " "
-                         << (traceLabel_.empty() ? actor_.name
-                                                 : traceLabel_)
-                         << "\n";
-    }
     if (fired_ && ctx_.cfg->tracer) {
         ctx_.cfg->tracer->completeEvent(
             traceLabel_.empty() ? actor_.name : traceLabel_,

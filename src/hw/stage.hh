@@ -305,6 +305,9 @@ class MemStage : public Stage
         uint64_t addr = 0;
         bool issued = false;
         uint64_t done = 0;
+
+        template <typename Ar>
+        void serialize(Ar &ar) { ar(tok, addr, issued, done); }
     };
 
     /** Is this entry's token the liveness owner's (privileged)? */

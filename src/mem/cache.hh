@@ -151,6 +151,9 @@ class Cache
         uint64_t tag = 0;
         /** Cycle the line's fill completes; data unusable before. */
         uint64_t fillDone = 0;
+
+        template <typename Ar>
+        void serialize(Ar &ar) { ar(valid, dirty, pinned, tag, fillDone); }
     };
 
     void reclaimMshrs(uint64_t cycle);

@@ -251,6 +251,38 @@ TEST(CkptFormat, VectorCountPastPayloadIsFatal)
         FatalError);
 }
 
+TEST(CkptFormat, BoolByteOtherThanZeroOrOneIsFatal)
+{
+    // A bool is one byte, 0 or 1; anything else is corruption, not
+    // true.
+    std::string path = ::testing::TempDir() + "bad_bool.ckpt";
+    ckpt::Writer w;
+    w.begin("flags");
+    w.b(false);
+    w.b(true);
+    w.u8(2);
+    w.u8(0xff);
+    w.end();
+    w.finish(path);
+    ckpt::Reader r(path);
+    r.begin("flags");
+    EXPECT_FALSE(r.b());
+    bool v = false;
+    r(v);
+    EXPECT_TRUE(v);
+    ScopedFatalThrows guard;
+    for (int i = 0; i < 2; ++i) {
+        try {
+            r(v);
+            ADD_FAILURE() << "a bool byte other than 0 or 1 was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("section 'flags'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(CkptFormat, TrailingBytesAreVisible)
 {
     // The Reader exposes trailing garbage via atEnd(); the bench
@@ -365,7 +397,7 @@ TEST(CheckpointRoundTripExtra, DegenerateMshr1MachineWithElasticLsu)
                             std::to_string(static_cast<int>(b)));
 }
 
-// --------------------------------------------------- committed v1 files
+// --------------------------------------------------- committed v2 files
 
 /** The cycle a checkpoint was saved at: accel.core's first field. */
 uint64_t
@@ -385,73 +417,34 @@ savedCycle(const std::string &path)
     return r.u64();
 }
 
-/** A checkpoint file split after its leading ckpt.config section. */
-struct ConfigSplit
-{
-    std::string structural;
-    std::string canonical;
-    std::vector<uint8_t> rest; //!< every byte after ckpt.config
-};
-
-ConfigSplit
-splitAtConfig(const std::string &path)
-{
-    ConfigSplit split;
-    ckpt::Reader r(path);
-    r.begin("ckpt.config");
-    split.structural = r.str();
-    split.canonical = r.str();
-    r.end();
-    // Magic, version, then the section: name length, name, payload
-    // length, payload.
-    std::vector<uint8_t> bytes = slurp(path);
-    const size_t len_at = 8 + 4 + 4 + std::strlen("ckpt.config");
-    uint64_t payload = 0;
-    EXPECT_GE(bytes.size(), len_at + sizeof payload) << path;
-    if (bytes.size() < len_at + sizeof payload)
-        return split;
-    std::memcpy(&payload, bytes.data() + len_at, sizeof payload);
-    split.rest.assign(bytes.begin() + static_cast<long>(
-                                          len_at + sizeof payload + payload),
-                      bytes.end());
-    return split;
-}
-
 class CheckpointFixture : public ::testing::TestWithParam<Bench>
 {
 };
 
-TEST_P(CheckpointFixture, V1FileRestoresAndResavesByteIdentically)
+TEST_P(CheckpointFixture, V2FileRestoresAndFreshSaveReproducesIt)
 {
-    // tests/fixtures/ckpt_v1 holds `fig9_speedup --scale 0.01
-    // --checkpoint-save auto:fig9` output from the first build of the
-    // version-1 layout. A build that still reads version 1 restores
-    // each to the uninterrupted run, and saving the restored machine
-    // at once writes the same machine state back. Only the canonical
-    // config key in the header differs: the accel.wakeCalendar knob
-    // the fixtures were saved with no longer exists.
+    // tests/fixtures/ckpt_v2 holds `fig9_speedup --scale 0.01
+    // --checkpoint-save auto:fig9` output. Each restores to the
+    // uninterrupted run, and a fresh run saving at the fixture's
+    // cycle writes the fixture byte for byte: a layout change that
+    // forgets the version bump fails here.
     Bench b = GetParam();
     Workloads w = makeWorkloads(0.01, 42); // fig9's defaults
     AccelConfig cfg = defaultAccelConfig();
     std::string fixture = std::string(APIR_CKPT_FIXTURE_DIR) + "/fig9";
-    CheckpointOptions ck;
-    ck.restorePrefix = fixture;
-    ck.saveCycle = savedCycle(checkpointPath(fixture, b));
-    ck.savePrefix = ::testing::TempDir() + "fixture_resaved";
-    EXPECT_EQ(statsOf(b, w, cfg, ck), statsOf(b, w, cfg))
+    std::string file = checkpointPath(fixture, b);
+    CheckpointOptions rest;
+    rest.restorePrefix = fixture;
+    EXPECT_EQ(statsOf(b, w, cfg, rest), statsOf(b, w, cfg))
         << benchName(b) << ": restored fixture diverged";
-    ConfigSplit resaved = splitAtConfig(checkpointPath(ck.savePrefix, b));
-    ConfigSplit original = splitAtConfig(checkpointPath(fixture, b));
-    EXPECT_EQ(resaved.structural, original.structural) << benchName(b);
-    std::string dropped = "|accel.wakeCalendar=1";
-    size_t at = original.canonical.find(dropped);
-    ASSERT_NE(at, std::string::npos) << original.canonical;
-    EXPECT_EQ(resaved.canonical,
-              original.canonical.erase(at, dropped.size()))
-        << benchName(b);
-    EXPECT_FALSE(original.rest.empty());
-    EXPECT_TRUE(resaved.rest == original.rest)
-        << benchName(b) << ": re-saved fixture differs after ckpt.config";
+    CheckpointOptions save;
+    save.saveCycle = savedCycle(file);
+    save.savePrefix = ::testing::TempDir() + "fixture_fresh";
+    statsOf(b, w, cfg, save);
+    std::vector<uint8_t> original = slurp(file);
+    EXPECT_FALSE(original.empty());
+    EXPECT_TRUE(slurp(checkpointPath(save.savePrefix, b)) == original)
+        << benchName(b) << ": a fresh save differs from the fixture";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenches, CheckpointFixture,

@@ -608,7 +608,6 @@ TEST(KnobTable, EveryRowIsSettableAndKeyed)
     // Knobs a row's new value needs to stay legal, and the knobs that
     // move with it.
     const std::map<std::string, std::vector<std::string>> companions = {
-        {"sample.interval", {"sample.window=10"}},
         {"spec.liveness", {"spec.pinOldest=false"}},
     };
     const std::map<std::string, std::string> follower = {
@@ -658,7 +657,7 @@ TEST(KnobTable, DefaultKeysAreByteStable)
               "cache.sizeBytes=65536|cache.lineBytes=64|"
               "cache.hitLatency=14|cache.mshrs=32|"
               "cache.prefetchNextLine=0|qpi.bytesPerCycle=35|"
-              "qpi.latency=40|sample.interval=0|sample.window=0");
+              "qpi.latency=40");
     EXPECT_EQ(configStructuralKey(defaultAccelConfig()),
               "accel.pipelinesPerSet=4|accel.ruleLanes=32|"
               "accel.queueBanks=4|accel.queueBankCapacity=65536|"

@@ -49,8 +49,8 @@ using Prepare = std::function<void(Accelerator &)>;
 /**
  * Run the design once and fingerprint everything observable: the
  * summary scalars and every (component, statistic) pair of the final
- * snapshot. When `traces` is non-null, also run with the cycle trace
- * and the Chrome tracer attached and append both streams.
+ * snapshot. When `traces` is non-null, also run with the Chrome
+ * tracer attached and store its stream there.
  */
 std::string
 runFingerprint(const SpecFactory &make, AccelConfig cfg, bool ff,
@@ -62,11 +62,9 @@ runFingerprint(const SpecFactory &make, AccelConfig cfg, bool ff,
     AcceleratorSpec spec = make(mem);
     cfg.fastForward = ff;
 
-    std::ostringstream fires;
     std::ostringstream chrome;
     std::unique_ptr<ChromeTracer> tracer;
     if (traces) {
-        cfg.trace = &fires;
         tracer = std::make_unique<ChromeTracer>(chrome);
         cfg.tracer = tracer.get();
     }
@@ -87,7 +85,7 @@ runFingerprint(const SpecFactory &make, AccelConfig cfg, bool ff,
     }
     if (traces) {
         tracer.reset(); // flush the JSON document
-        *traces = fires.str() + "\x1e" + chrome.str();
+        *traces = chrome.str();
     }
     return os.str();
 }

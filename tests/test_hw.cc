@@ -935,19 +935,33 @@ TEST(MicroAccel, CycleTraceRecordsFirings)
     for (int i = 0; i < 3; ++i)
         spec.seed(0, {Word(i)});
 
-    std::ostringstream trace;
-    AccelConfig cfg;
-    cfg.pipelinesPerSet = 1;
-    cfg.trace = &trace;
-    Accelerator accel(spec, cfg, mem);
-    accel.run();
+    std::ostringstream os;
+    {
+        ChromeTracer tracer(os);
+        AccelConfig cfg;
+        cfg.pipelinesPerSet = 1;
+        cfg.tracer = &tracer;
+        Accelerator accel(spec, cfg, mem);
+        accel.run();
+    }
 
-    std::string s = trace.str();
-    EXPECT_NE(s.find("t/0/bump"), std::string::npos);
-    EXPECT_NE(s.find("t/0/source"), std::string::npos);
-    EXPECT_NE(s.find("t/0/done"), std::string::npos);
+    // One track per stage, named by its label; one "X" per firing.
+    JsonValue doc = JsonValue::parse(os.str());
+    const JsonValue &events = doc.at("traceEvents");
+    std::set<std::string> tracks;
+    size_t firings = 0;
+    for (size_t i = 0; i < events.size(); ++i) {
+        const JsonValue &e = events.at(i);
+        const std::string &ph = e.at("ph").asString();
+        if (ph == "M")
+            tracks.insert(e.at("args").at("name").asString());
+        firings += ph == "X";
+    }
+    EXPECT_TRUE(tracks.count("t/0/bump"));
+    EXPECT_TRUE(tracks.count("t/0/source"));
+    EXPECT_TRUE(tracks.count("t/0/done"));
     // Three tasks through three stages: at least nine firings.
-    EXPECT_GE(std::count(s.begin(), s.end(), '\n'), 9);
+    EXPECT_GE(firings, 9u);
 }
 
 TEST(MicroAccel, TraceWindowFilters)
@@ -962,13 +976,13 @@ TEST(MicroAccel, TraceWindowFilters)
     spec.pipelines.push_back(b.build());
     spec.seed(0, {0});
 
-    std::ostringstream trace;
+    std::ostringstream os;
+    ChromeTracer tracer(os, 1'000'000); // window past the whole run
     AccelConfig cfg;
-    cfg.trace = &trace;
-    cfg.traceFrom = 1'000'000; // past the whole run
+    cfg.tracer = &tracer;
     Accelerator accel(spec, cfg, mem);
     accel.run();
-    EXPECT_TRUE(trace.str().empty());
+    EXPECT_EQ(tracer.events(), 0u);
 }
 
 TEST(MicroAccel, StatsRegistryRoundTripsThroughJson)

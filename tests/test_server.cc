@@ -27,6 +27,7 @@
 #include "server/server.hh"
 #include "server/service.hh"
 #include "support/json.hh"
+#include "support/trace.hh"
 
 namespace apir {
 namespace server {
@@ -199,7 +200,8 @@ TEST(CanonicalKey, StableAndKnobSensitive)
     // Trace hooks are observability, not machine identity.
     b = bench::defaultAccelConfig();
     std::ostringstream sink;
-    b.trace = &sink;
+    ChromeTracer tracer(sink);
+    b.tracer = &tracer;
     EXPECT_EQ(configCanonicalKey(a), configCanonicalKey(b));
 }
 

@@ -18,6 +18,7 @@
 #include "bench_common.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
+#include "support/trace.hh"
 
 namespace apir {
 namespace bench {
@@ -216,8 +217,9 @@ TEST(SweepDeath, TraceHooksRequireSerialExecution)
     setQuietLogging(true);
     Workloads w = makeWorkloads(0.02);
     std::ostringstream trace;
+    ChromeTracer tracer(trace);
     SweepJob job{Bench::SpecBfs, defaultAccelConfig(), false, {}};
-    job.cfg.trace = &trace;
+    job.cfg.tracer = &tracer;
     EXPECT_EXIT(runSweep({job}, w, 2), ::testing::ExitedWithCode(1),
                 "trace hooks");
 }

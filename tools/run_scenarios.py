@@ -26,6 +26,7 @@ must both be flagged. It exits 0 iff the negative checks trip.
 import argparse
 import filecmp
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -104,12 +105,15 @@ def check_liveness_budget(tag, runs, log):
                      f"tasks_executed={r['tasks_executed']})")
 
 
-def run_fig9(bench, outdir, tag, scale, extra, log):
-    """Run one sweep; returns the stats path or None on failure."""
+def run_fig9(bench, outdir, tag, scale, extra, log, env=None):
+    """Run one sweep; returns the stats path or None on failure.
+
+    `env` adds variables to the inherited environment."""
     stats = outdir / f"{tag}.stats.json"
     cmd = [str(bench), "--scale", str(scale), "--stats-json", str(stats)] + extra
     proc = subprocess.run(cmd, cwd=REPO, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True)
+                          stderr=subprocess.STDOUT, text=True,
+                          env={**os.environ, **env} if env else None)
     if proc.returncode != 0:
         log.fail(f"[{tag}]: {' '.join(cmd)}\n{proc.stdout}")
         return None
@@ -117,7 +121,7 @@ def run_fig9(bench, outdir, tag, scale, extra, log):
 
 
 def compare_stats(a, b, what, log):
-    """Byte-compare two stats-json files; FAIL with `what` on mismatch."""
+    """Byte-compare two files; FAIL with `what` on mismatch."""
     if filecmp.cmp(a, b, shallow=False):
         return True
     log.fail(f"{what}: {b} differs from {a}")
@@ -137,6 +141,11 @@ def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
     fixed cycle either lands after a small-scale run has drained
     (which the bench makes fatal) or snapshots a near-empty machine at
     large scale.
+
+    Each combo's first seed saves a second time (B') in a process run
+    under MALLOC_PERTURB_, which fills fresh heap memory with a
+    pattern; B and B' must write identical checkpoint files, so no
+    byte of a file comes from memory the simulation never wrote.
     """
     for conf in confs:
         for mode, mode_extra in CHECKPOINT_MODES:
@@ -161,6 +170,19 @@ def checkpoint_campaign(bench, outdir, confs, scale, seeds, log):
                     a, b, f"[{tag}] save run not byte-identical", log)
                 good &= c is not None and compare_stats(
                     a, c, f"[{tag}] restored run not byte-identical", log)
+                if seed == seeds[0] and b is not None:
+                    twin = outdir / f"{tag}.perturbed"
+                    b2 = run_fig9(bench, outdir, f"{tag}.b2", scale,
+                                  extra + ["--checkpoint-save",
+                                           f"{save}:{twin}"], log,
+                                  env={"MALLOC_PERTURB_": "165"})
+                    good &= b2 is not None
+                    for r in json.load(open(a))["runs"] if b2 else []:
+                        name = r["benchmark"]
+                        good &= compare_stats(
+                            f"{prefix}.{name}.ckpt", f"{twin}.{name}.ckpt",
+                            f"[{tag}] checkpoint bytes differ across "
+                            "processes", log)
                 if good:
                     print(f"ok   {tag}: save@{save} + restore "
                           "byte-identical to the uninterrupted run")
