@@ -45,12 +45,14 @@ sendAll(int fd, const std::string &data)
 
 } // namespace
 
-/** One admitted simulation: the request plus the promise its
- * connection thread is blocked on. */
+/** One admitted simulation: the resolved request plus the promise its
+ * connection thread is blocked on. The worker fulfils it with the
+ * result's future as soon as it has one, so a job whose key another
+ * worker is computing frees its worker at once. */
 struct ApirdServer::Job
 {
-    SimRequest req;
-    std::promise<std::string> done;
+    SimService::Resolved sim;
+    std::promise<std::shared_future<std::string>> started;
 };
 
 ApirdServer::ApirdServer(ApirdOptions opt)
@@ -185,16 +187,20 @@ ApirdServer::dispatchLoop()
         }
         std::shared_ptr<Job> j = *job;
         pool_.submit([this, j] {
-            std::string response = service_.handle(j->req);
-            // Leave the flight count before publishing the response,
-            // so a client that pipelines `stats` right behind its sim
+            // The key is claimed here, when the job runs, not when it
+            // was admitted: a queued Low job never holds a key that a
+            // later High repeat would then wait behind.
+            std::shared_future<std::string> result =
+                service_.start(j->sim);
+            // Leave the flight count before publishing the result, so
+            // a client that pipelines `stats` right behind its sim
             // never sees its own finished job still counted.
             {
                 std::lock_guard<std::mutex> lock(flightMu_);
                 --inFlight_;
             }
             flightCv_.notify_one();
-            j->done.set_value(std::move(response));
+            j->started.set_value(std::move(result));
         });
         if (pool_.numThreads() == 1)
             pool_.wait(); // a 1-thread pool runs jobs inline here
@@ -232,10 +238,28 @@ ApirdServer::handleLine(const std::string &line)
         break;
     }
 
-    auto job = std::make_shared<Job>();
-    job->req = req.sim;
-    std::future<std::string> result = job->done.get_future();
     auto t0 = std::chrono::steady_clock::now();
+    auto serviced = [&](std::string response) {
+        auto t1 = std::chrono::steady_clock::now();
+        noteServiced(response,
+                     std::chrono::duration<double, std::milli>(t1 - t0)
+                         .count());
+        return response;
+    };
+    if (queue_.closed()) // a drain admits no sim, not even a hit
+        return errorResponse("server is draining");
+    // A stored or in-flight result needs no worker: answer it here,
+    // waiting for its computation if it is still running. Only what
+    // still has to be simulated (or fails to resolve, whose error a
+    // worker reports as before) is queued.
+    SimService::Resolved sim = service_.resolve(req.sim);
+    if (sim.cacheable())
+        if (auto result = service_.find(sim))
+            return serviced(SimService::answer(*result));
+
+    auto job = std::make_shared<Job>();
+    job->sim = std::move(sim);
+    auto started = job->started.get_future();
     if (!queue_.push(req.sim.priority, job)) {
         if (queue_.closed())
             return errorResponse("server is draining");
@@ -243,12 +267,7 @@ ApirdServer::handleLine(const std::string &line)
         ++busyRejects_;
         return busyResponse(opt_.retryAfterMs);
     }
-    std::string response = result.get();
-    auto t1 = std::chrono::steady_clock::now();
-    noteServiced(response,
-                 std::chrono::duration<double, std::milli>(t1 - t0)
-                     .count());
-    return response;
+    return serviced(SimService::answer(started.get()));
 }
 
 void

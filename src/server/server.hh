@@ -9,15 +9,23 @@
  *  - the serve() thread owns accept(); a self-pipe lets
  *    requestDrain() (called from a signal handler — write() is
  *    async-signal-safe) interrupt the poll
- *  - each connection thread parses lines, answers ping/stats/
- *    shutdown inline, and for sim requests enqueues a job and blocks
- *    on its future — so per-connection responses are FIFO by
- *    construction and a full queue backpressures exactly one client
+ *  - each connection thread parses lines and answers ping/stats/
+ *    shutdown inline. It resolves a sim request once (app, config,
+ *    result-store key) and answers a stored result, or waits on an
+ *    in-flight one, itself: hits and in-flight repeats never take a
+ *    queue slot or a worker. Any other sim is enqueued as a job and
+ *    the thread blocks on it — so per-connection responses are FIFO
+ *    by construction and a full queue (busy) backpressures exactly
+ *    the clients whose work needs a worker
  *  - one dispatcher thread pops jobs in priority order and submits
  *    to the ThreadPool, holding in-flight work at the worker count so
  *    late-arriving high-priority jobs still overtake queued low ones
  *    (with a 1-thread pool it runs each job inline via wait(),
  *    keeping the single-worker daemon genuinely serial)
+ *  - a worker claims its job's key when the job starts running. If
+ *    the key was stored or claimed since admission it hands that
+ *    future back to the connection thread and is free at once, so a
+ *    worker only ever runs a key's first simulation
  *
  * Graceful drain (SIGTERM / the shutdown op): stop accepting, stop
  * admitting, finish and answer everything already admitted, then
@@ -27,6 +35,8 @@
 #ifndef APIR_SERVER_SERVER_HH
 #define APIR_SERVER_SERVER_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -52,6 +62,40 @@ struct ApirdOptions
     unsigned retryAfterMs = 50;     //!< hint in busy responses
     std::string scenarioDir = "scenarios";
     double maxScale = 0.0;          //!< >0: reject larger requests
+};
+
+/**
+ * Service times on log-spaced buckets: a Histogram over log10 of the
+ * milliseconds, 20 buckets a decade from 1 us to 100 s, so a 70 us
+ * replay and a 20 ms simulation both resolve to within 12%.
+ * Quantiles interpolate geometrically inside a bucket and never
+ * exceed the largest sample; shorter samples count as 1 us.
+ */
+class LogMsHistogram
+{
+  public:
+    void sample(double ms)
+    {
+        hist_.sample(std::max(0.0, (std::log10(ms) - kLog10Min) *
+                                       kPerDecade));
+        maxMs_ = std::max(maxMs_, ms);
+    }
+    double quantile(double q) const
+    {
+        if (hist_.total() == 0)
+            return 0.0;
+        // The log round trip can overshoot the largest sample by an
+        // ulp or so; clamp, as Histogram::quantile does.
+        return std::min(maxMs_, std::pow(10.0, hist_.quantile(q) /
+                                                   kPerDecade +
+                                               kLog10Min));
+    }
+
+  private:
+    static constexpr double kLog10Min = -3.0; //!< 1 us
+    static constexpr int kPerDecade = 20;
+    Histogram hist_{8 * kPerDecade, 1.0};
+    double maxMs_ = 0.0;
 };
 
 class ApirdServer
@@ -121,8 +165,8 @@ class ApirdServer
     Counter simsError_;    //!< sim responses with status error
     Counter busyRejects_;  //!< sims bounced by the full queue
     Average queueDepth_;   //!< sampled at each dispatch
-    Average serviceMs_;    //!< enqueue-to-response, milliseconds
-    Histogram serviceHist_{200, 25.0}; //!< 0-5 s @ 25 ms buckets
+    Average serviceMs_;    //!< arrival-to-response, milliseconds
+    LogMsHistogram serviceHist_;
 };
 
 } // namespace server

@@ -46,6 +46,12 @@ SimService::configFor(const SimRequest &req) const
 std::string
 SimService::requestKey(const SimRequest &req) const
 {
+    return keyFor(req, configFor(req));
+}
+
+std::string
+SimService::keyFor(const SimRequest &req, const AccelConfig &cfg)
+{
     // Two requests that describe the same simulation — whatever mix
     // of scenario file and individual overrides got them there — must
     // land on the same key, so the machine half is the canonicalized
@@ -53,7 +59,7 @@ SimService::requestKey(const SimRequest &req) const
     return "app=" + req.app + "|scale=" + canonicalDouble(req.scale) +
            strprintf("|seed=%u|verify=%d|", req.seed,
                      req.verify ? 1 : 0) +
-           configCanonicalKey(configFor(req));
+           configCanonicalKey(cfg);
 }
 
 std::string
@@ -69,73 +75,112 @@ SimService::workloadKey(double scale, uint32_t seed)
 std::string
 SimService::handle(const SimRequest &req)
 {
+    return answer(start(resolve(req)));
+}
+
+SimService::Resolved
+SimService::resolve(const SimRequest &req) const
+{
+    Resolved r;
+    r.req = req;
     // Request-scoped failures (unknown scenario knob, bad --set
-    // spelling, verification mismatch) arrive as fatal(); within this
-    // scope they throw instead of exiting, so one bad request costs
-    // one error response, not the daemon.
+    // spelling) arrive as fatal(); within this scope they throw
+    // instead of exiting, so one bad request costs one error
+    // response, not the daemon.
     ScopedFatalThrows guard;
     try {
-        return compute(req);
+        auto b = bench::benchFromName(req.app);
+        if (!b)
+            throw std::runtime_error(
+                "unknown app '" + req.app +
+                "' (expected SPEC-BFS, COOR-BFS, SPEC-SSSP, SPEC-MST, "
+                "SPEC-DMR or COOR-LU)");
+        if (maxScale_ > 0.0 && req.scale > maxScale_)
+            throw std::runtime_error(strprintf(
+                "scale %g exceeds this server's --max-scale %g",
+                req.scale, maxScale_));
+        r.bench = *b;
+        r.cfg = configFor(req);
+        r.key = keyFor(req, r.cfg);
+    } catch (...) {
+        r.error = std::current_exception();
+    }
+    return r;
+}
+
+std::optional<std::shared_future<std::string>>
+SimService::find(const Resolved &r)
+{
+    return results_.find(r.key);
+}
+
+std::shared_future<std::string>
+SimService::start(const Resolved &r)
+{
+    auto run = [&]() -> std::string {
+        if (r.error)
+            std::rethrow_exception(r.error);
+        // A failed verification is a fatal() too: an error response.
+        ScopedFatalThrows guard;
+        return simulate(r);
+    };
+    // Checkpoint requests bypass the result store: a save must write
+    // its file every time it is asked to (a cache hit would skip the
+    // side effect), and a restore's payload depends on checkpoint
+    // file bytes the request key cannot see.
+    if (r.cacheable())
+        return results_.shareOrCompute(r.key, run);
+    std::promise<std::string> done;
+    try {
+        done.set_value(run());
+    } catch (...) {
+        done.set_exception(std::current_exception());
+    }
+    return done.get_future().share();
+}
+
+std::string
+SimService::answer(const std::shared_future<std::string> &f)
+{
+    try {
+        return f.get();
     } catch (const std::exception &e) {
         return errorResponse(e.what());
     }
 }
 
 std::string
-SimService::compute(const SimRequest &req)
+SimService::simulate(const Resolved &r)
 {
-    auto b = bench::benchFromName(req.app);
-    if (!b)
-        throw std::runtime_error(
-            "unknown app '" + req.app +
-            "' (expected SPEC-BFS, COOR-BFS, SPEC-SSSP, SPEC-MST, "
-            "SPEC-DMR or COOR-LU)");
-    if (maxScale_ > 0.0 && req.scale > maxScale_)
-        throw std::runtime_error(
-            strprintf("scale %g exceeds this server's --max-scale %g",
-                      req.scale, maxScale_));
+    const SimRequest &req = r.req;
+    // The workload bundle is app-independent (bench_common generates
+    // every figure's inputs from one (scale, seed) pair), so six apps
+    // at one scale share a single generation.
+    std::shared_ptr<const bench::Workloads> w = workloads_.getOrCompute(
+        workloadKey(req.scale, req.seed), [&] {
+            return std::make_shared<const bench::Workloads>(
+                bench::makeWorkloads(req.scale, req.seed));
+        });
 
-    AccelConfig cfg = configFor(req);
+    bench::CheckpointOptions ck;
+    ck.saveCycle = req.checkpointSaveCycle;
+    ck.saveAuto = req.checkpointSaveAuto;
+    ck.savePrefix = req.checkpointSavePrefix;
+    ck.restorePrefix = req.checkpointRestorePrefix;
+    bench::AccelRun run =
+        bench::runAccelerator(r.bench, *w, r.cfg, req.verify, ck);
 
-    auto simulate = [&]() -> std::string {
-        // The workload bundle is app-independent (bench_common
-        // generates every figure's inputs from one (scale, seed)
-        // pair), so six apps at one scale share a single generation.
-        std::shared_ptr<const bench::Workloads> w =
-            workloads_.getOrCompute(
-                workloadKey(req.scale, req.seed), [&] {
-                    return std::make_shared<const bench::Workloads>(
-                        bench::makeWorkloads(req.scale, req.seed));
-                });
-
-        bench::CheckpointOptions ck;
-        ck.saveCycle = req.checkpointSaveCycle;
-        ck.saveAuto = req.checkpointSaveAuto;
-        ck.savePrefix = req.checkpointSavePrefix;
-        ck.restorePrefix = req.checkpointRestorePrefix;
-        bench::AccelRun run =
-            bench::runAccelerator(*b, *w, cfg, req.verify, ck);
-
-        JsonValue rj = bench::runToJson(run);
-        rj.set("benchmark", JsonValue::str(req.app));
-        JsonValue doc = JsonValue::object();
-        doc.set("status", JsonValue::str("ok"));
-        doc.set("app", JsonValue::str(req.app));
-        doc.set("scale", JsonValue::number(req.scale));
-        doc.set("seed", JsonValue::number(req.seed));
-        doc.set("run", std::move(rj));
-        // Cached as the serialized line: a replayed response is the
-        // same bytes as the freshly computed one, by construction.
-        return doc.dump();
-    };
-
-    // Checkpoint requests bypass the result store: a save must write
-    // its file every time it is asked to (a cache hit would skip the
-    // side effect), and a restore's payload depends on checkpoint
-    // file bytes the request key cannot see.
-    if (req.hasCheckpoint())
-        return simulate();
-    return results_.getOrCompute(requestKey(req), simulate);
+    JsonValue rj = bench::runToJson(run);
+    rj.set("benchmark", JsonValue::str(req.app));
+    JsonValue doc = JsonValue::object();
+    doc.set("status", JsonValue::str("ok"));
+    doc.set("app", JsonValue::str(req.app));
+    doc.set("scale", JsonValue::number(req.scale));
+    doc.set("seed", JsonValue::number(req.seed));
+    doc.set("run", std::move(rj));
+    // Cached as the serialized line: a replayed response is the same
+    // bytes as the freshly computed one, by construction.
+    return doc.dump();
 }
 
 CacheStats

@@ -21,12 +21,21 @@
  * handle() never throws and never exits: request-scoped fatal()s
  * (unknown scenario knob, malformed --set, failed verification) are
  * converted to {"status":"error"} responses via ScopedFatalThrows.
+ *
+ * handle() is resolve(), then start(), then answer(). apird calls
+ * the steps itself so that only the step that simulates takes a
+ * worker: a connection thread resolves the request once and find()s
+ * a stored or in-flight result without queueing; a worker start()s
+ * the rest.
  */
 
 #ifndef APIR_SERVER_SERVICE_HH
 #define APIR_SERVER_SERVICE_HH
 
+#include <exception>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "bench_common.hh"
@@ -68,6 +77,50 @@ class SimService
     std::string handle(const SimRequest &req);
 
     /**
+     * A request resolved once: its app, its machine and its
+     * result-store key, or the error that answers it.
+     */
+    struct Resolved
+    {
+        SimRequest req;
+        bench::Bench bench{};
+        AccelConfig cfg;
+        std::string key;          //!< result-store key
+        std::exception_ptr error; //!< set: the request fails with it
+
+        /** Served from the result store (checkpoints bypass it). */
+        bool cacheable() const { return !error && !req.hasCheckpoint(); }
+    };
+
+    /**
+     * Check and resolve a request, in the error order handle()
+     * reports: unknown app, then --max-scale, then the config (its
+     * scenario file and --set overrides, parsed once). Never throws.
+     */
+    Resolved resolve(const SimRequest &req) const;
+
+    /**
+     * The result-store entry of a cacheable request, ready or still
+     * being computed, counting a hit; nullopt, counting nothing, when
+     * no one has started it. Never waits.
+     */
+    std::optional<std::shared_future<std::string>>
+    find(const Resolved &r);
+
+    /**
+     * Claim and simulate a resolved request on this thread, unless
+     * its key is already stored or being computed: then return that
+     * future at once (a hit) without waiting on it. Checkpoint
+     * requests always simulate; an unresolved one returns its error.
+     * Never throws: failures travel in the future.
+     */
+    std::shared_future<std::string> start(const Resolved &r);
+
+    /** The response line of a started request: its bytes, or the
+     * error response of its failure. Waits until it is computed. */
+    static std::string answer(const std::shared_future<std::string> &f);
+
+    /**
      * The canonical identity of a request: what the result store is
      * keyed by. Exposed for tests (two spellings of one machine must
      * collide; any knob change must not).
@@ -86,8 +139,10 @@ class SimService
     CacheStats cacheStats() const;
 
   private:
-    std::string compute(const SimRequest &req);
+    std::string simulate(const Resolved &r);
     AccelConfig configFor(const SimRequest &req) const;
+    static std::string keyFor(const SimRequest &req,
+                              const AccelConfig &cfg);
 
     std::string scenarioDir_;
     double maxScale_;

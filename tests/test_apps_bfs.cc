@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "apps/bfs.hh"
 #include "graph/generators.hh"
 #include "hw/accelerator.hh"
 #include "support/logging.hh"
+#include "support/str.hh"
 
 namespace apir {
 namespace {
@@ -75,6 +80,14 @@ struct CfgCase
     double bwScale;
 };
 
+/** Print a case as its initializer, not as its bytes (see below). */
+void
+PrintTo(const CfgCase &c, std::ostream *os)
+{
+    *os << strprintf("{%u, %u, %u, %s, %g}", c.pipelines, c.lanes,
+                     c.banks, c.lsuInOrder ? "true" : "false", c.bwScale);
+}
+
 class BfsAccelSweep : public ::testing::TestWithParam<CfgCase>
 {
 };
@@ -131,7 +144,18 @@ INSTANTIATE_TEST_SUITE_P(
                       CfgCase{2, 16, 2, true, 1.0},
                       CfgCase{2, 2, 2, false, 1.0},
                       CfgCase{2, 16, 2, false, 8.0},
-                      CfgCase{2, 16, 2, false, 0.25}));
+                      CfgCase{2, 16, 2, false, 0.25}),
+    // Named, and printed, by its fields: gtest's default prints the
+    // struct's bytes, padding included, which differ from build to
+    // build, and ctest names the tests by both.
+    [](const ::testing::TestParamInfo<CfgCase> &info) {
+        const CfgCase &c = info.param;
+        std::string name = strprintf(
+            "p%u_l%u_b%u_%s_bw%g", c.pipelines, c.lanes, c.banks,
+            c.lsuInOrder ? "inorder" : "ooo", c.bwScale);
+        std::replace(name.begin(), name.end(), '.', 'p');
+        return name;
+    });
 
 TEST(BfsAccel, SingleVertexGraph)
 {

@@ -10,11 +10,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -289,6 +292,58 @@ TEST(MemoStore, GetOrComputeRunsOncePerKey)
     EXPECT_EQ(memo.misses(), 1u);
 }
 
+TEST(MemoStore, FindCountsAHitOnlyForAPresentKey)
+{
+    MemoStore<int, int> memo;
+    EXPECT_FALSE(memo.find(1).has_value()); // absent: counts nothing
+    EXPECT_EQ(memo.hits() + memo.misses(), 0u);
+    memo.put(1, 10);
+    auto found = memo.find(1);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->get(), 10);
+    EXPECT_EQ(memo.hits(), 1u);
+    EXPECT_EQ(memo.misses(), 0u);
+
+    // An in-flight key is found before it is computed; when its
+    // computation fails, the finder's future rethrows the owner's
+    // exception, as getOrCompute's waiters do, and the key is gone.
+    std::promise<void> release;
+    std::thread owner([&] {
+        auto f = memo.shareOrCompute(3, [&]() -> int {
+            release.get_future().wait();
+            throw std::runtime_error("no");
+        });
+        EXPECT_THROW(f.get(), std::runtime_error);
+    });
+    std::optional<std::shared_future<int>> waiting;
+    while (!(waiting = memo.find(3)))
+        std::this_thread::yield();
+    EXPECT_EQ(waiting->wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    // A second would-be computer is handed the same future at once,
+    // without running its function or waiting.
+    auto shared = memo.shareOrCompute(3, []() -> int {
+        ADD_FAILURE() << "a present key must not be recomputed";
+        return 0;
+    });
+    EXPECT_EQ(shared.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    release.set_value();
+    owner.join();
+    try {
+        waiting->get();
+        ADD_FAILURE() << "the failure must reach the finder";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "no");
+    }
+    EXPECT_THROW(shared.get(), std::runtime_error);
+    EXPECT_FALSE(memo.find(3).has_value());
+    // put, find(1), find(3) and the second shareOrCompute hit; the
+    // owner missed. Each lookup of a present key counted once.
+    EXPECT_EQ(memo.hits(), 3u);
+    EXPECT_EQ(memo.misses(), 1u);
+}
+
 TEST(MemoStore, FailedComputationIsRetryable)
 {
     MemoStore<int, int> memo;
@@ -300,6 +355,23 @@ TEST(MemoStore, FailedComputationIsRetryable)
     // The failure must not be cached: the next caller recomputes.
     EXPECT_EQ(memo.getOrCompute(3, [] { return 9; }), 9);
     EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(LogMsHistogram, ResolvesSubMillisecondSamples)
+{
+    // 95 replays of 70 us behind 5 simulations of 20 ms: a 25 ms
+    // linear bucket would report both quantiles as one bucket.
+    LogMsHistogram h;
+    EXPECT_EQ(h.quantile(0.5), 0.0);
+    for (int i = 0; i < 95; ++i)
+        h.sample(0.07);
+    for (int i = 0; i < 5; ++i)
+        h.sample(20.0);
+    EXPECT_NEAR(h.quantile(0.5), 0.07, 0.07 * 0.12);
+    EXPECT_NEAR(h.quantile(0.99), 20.0, 20.0 * 0.12);
+    EXPECT_LE(h.quantile(1.0), 20.0); // never past the largest sample
+    h.sample(0.0); // below 1 us: the first bucket
+    EXPECT_GT(h.quantile(0.0), 0.0);
 }
 
 // ------------------------------------------------------------ queue
@@ -489,12 +561,17 @@ connectTo(uint16_t port)
     return fd;
 }
 
-std::string
-rpc(int fd, const std::string &line)
+void
+sendLine(int fd, const std::string &line)
 {
     std::string out = line + "\n";
     EXPECT_EQ(::send(fd, out.data(), out.size(), 0),
               static_cast<ssize_t>(out.size()));
+}
+
+std::string
+recvLine(int fd)
+{
     std::string resp;
     char c;
     while (::recv(fd, &c, 1, 0) == 1) {
@@ -504,6 +581,53 @@ rpc(int fd, const std::string &line)
     }
     return resp;
 }
+
+std::string
+rpc(int fd, const std::string &line)
+{
+    sendLine(fd, line);
+    return recvLine(fd);
+}
+
+/** True when a response line is waiting on fd (no blocking). */
+bool
+readable(int fd)
+{
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, 0) == 1;
+}
+
+/** The daemon's stats object, fetched over fd. */
+JsonValue
+stats(int fd)
+{
+    return JsonValue::parse(rpc(fd, R"({"op":"stats"})")).at("stats");
+}
+
+/** Poll stats over fd until pred holds; false after a minute. */
+template <typename Pred>
+bool
+waitForStats(int fd, Pred pred)
+{
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(1);
+    while (std::chrono::steady_clock::now() < deadline) {
+        if (pred(stats(fd)))
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+}
+
+double
+cacheLookups(const JsonValue &s)
+{
+    const JsonValue &rc = s.at("result_cache");
+    return rc.at("hits").asNumber() + rc.at("misses").asNumber();
+}
+
+/** A miss long enough to be still running while a test looks on. */
+constexpr const char *kLongMiss = R"({"app":"SPEC-BFS","scale":1.0})";
 
 } // namespace e2e
 
@@ -598,6 +722,147 @@ TEST(ApirdServer, ConcurrentMixedPriorityClientsAllAnswered)
     // the repeats.
     EXPECT_GE(s.at("result_cache").at("hits").asNumber(), 6.0);
     EXPECT_GE(s.at("workload_cache").at("hits").asNumber(), 1.0);
+}
+
+TEST(ApirdServer, HitIsAnsweredWhileTheOnlyWorkerIsBusy)
+{
+    ApirdOptions opt;
+    opt.workers = 1;
+    opt.scenarioDir = APIR_SCENARIO_DIR;
+    ApirdServer srv(opt);
+    uint16_t port = srv.start();
+    std::thread serving([&] { srv.serve(); });
+
+    int a = e2e::connectTo(port);
+    int b = e2e::connectTo(port);
+    std::string stored = R"({"app":"SPEC-BFS","scale":0.02})";
+    std::string first = e2e::rpc(b, stored);
+    EXPECT_EQ(first.rfind("{\"status\":\"ok\"", 0), 0u);
+
+    // A's miss occupies the only worker; B's repeat of a stored key
+    // must not queue behind it.
+    e2e::sendLine(a, e2e::kLongMiss);
+    ASSERT_TRUE(e2e::waitForStats(b, [](const JsonValue &s) {
+        return s.at("in_flight").asNumber() == 1.0;
+    }));
+    EXPECT_EQ(e2e::rpc(b, stored), first);
+    EXPECT_FALSE(e2e::readable(a)) << "B's hit waited for A's miss";
+    std::string longResp = e2e::recvLine(a);
+    EXPECT_EQ(longResp.rfind("{\"status\":\"ok\"", 0), 0u);
+
+    JsonValue s = e2e::stats(b);
+    EXPECT_EQ(s.at("result_cache").at("hits").asNumber(), 1.0);
+    EXPECT_EQ(e2e::cacheLookups(s), 3.0); // three cacheable sims
+    EXPECT_EQ(s.at("sims_ok").asNumber(), 3.0);
+    ::close(a);
+    ::close(b);
+    srv.requestDrain();
+    serving.join();
+}
+
+TEST(ApirdServer, DuplicateOfAnInFlightKeyHoldsNoWorker)
+{
+    ApirdOptions opt;
+    opt.workers = 2;
+    opt.scenarioDir = APIR_SCENARIO_DIR;
+    ApirdServer srv(opt);
+    uint16_t port = srv.start();
+    std::thread serving([&] { srv.serve(); });
+
+    int a = e2e::connectTo(port);
+    int b = e2e::connectTo(port);
+    int probe = e2e::connectTo(port);
+    e2e::sendLine(a, e2e::kLongMiss);
+    ASSERT_TRUE(e2e::waitForStats(probe, [](const JsonValue &s) {
+        return s.at("in_flight").asNumber() == 1.0;
+    }));
+    // B repeats A's key while A computes it. Its lookup finds the
+    // in-flight entry (the hit); from then on it waits on A's result
+    // on its connection thread, holding neither a queue slot nor the
+    // idle second worker.
+    e2e::sendLine(b, e2e::kLongMiss);
+    ASSERT_TRUE(e2e::waitForStats(probe, [](const JsonValue &s) {
+        return s.at("result_cache").at("hits").asNumber() == 1.0;
+    }));
+    JsonValue s = e2e::stats(probe);
+    EXPECT_EQ(s.at("in_flight").asNumber(), 1.0);
+    EXPECT_EQ(s.at("queue").at("depth").asNumber(), 0.0);
+    EXPECT_FALSE(e2e::readable(b)) << "B answered before A's result";
+
+    std::string fromA = e2e::recvLine(a);
+    EXPECT_EQ(fromA.rfind("{\"status\":\"ok\"", 0), 0u);
+    EXPECT_EQ(e2e::recvLine(b), fromA);
+    s = e2e::stats(probe);
+    EXPECT_EQ(s.at("result_cache").at("misses").asNumber(), 1.0);
+    EXPECT_EQ(e2e::cacheLookups(s), 2.0); // two cacheable sims
+    ::close(a);
+    ::close(b);
+    ::close(probe);
+    srv.requestDrain();
+    serving.join();
+}
+
+TEST(ApirdServer, DispatchedRepeatOfAnInFlightKeyFreesItsWorker)
+{
+    ApirdOptions opt;
+    opt.workers = 2;
+    opt.scenarioDir = APIR_SCENARIO_DIR;
+    ApirdServer srv(opt);
+    uint16_t port = srv.start();
+    std::thread serving([&] { srv.serve(); });
+
+    int x1 = e2e::connectTo(port);
+    int x2 = e2e::connectTo(port);
+    int a = e2e::connectTo(port);
+    int b = e2e::connectTo(port);
+    int c = e2e::connectTo(port);
+    int probe = e2e::connectTo(port);
+    auto inFlight = [](double n) {
+        return [n](const JsonValue &s) {
+            return s.at("in_flight").asNumber() == n;
+        };
+    };
+    // Both workers busy, so A's and B's requests for one key are
+    // both queued: neither was claimed when they arrived.
+    e2e::sendLine(x1, R"({"app":"SPEC-BFS","scale":0.5,"seed":1})");
+    ASSERT_TRUE(e2e::waitForStats(probe, inFlight(1)));
+    e2e::sendLine(x2, R"({"app":"SPEC-BFS","scale":0.5,"seed":2})");
+    ASSERT_TRUE(e2e::waitForStats(probe, inFlight(2)));
+    std::string key = R"({"app":"SPEC-BFS","scale":1.0,"seed":3})";
+    e2e::sendLine(a, key);
+    e2e::sendLine(b, key);
+    // The dispatcher holds A's job, popped, until a worker is free;
+    // B's waits in the queue.
+    ASSERT_TRUE(e2e::waitForStats(probe, [](const JsonValue &s) {
+        return s.at("queue").at("depth").asNumber() == 1.0;
+    }));
+    EXPECT_EQ(e2e::stats(probe).at("result_cache").at("hits").asNumber(),
+              0.0);
+
+    // A's job claims the key on the first free worker; B's job, on
+    // the second, finds it in flight (the hit) and hands the future
+    // back. That worker is then free for C's miss, which is answered
+    // while B still waits for A's simulation.
+    ASSERT_TRUE(e2e::waitForStats(probe, [](const JsonValue &s) {
+        return s.at("result_cache").at("hits").asNumber() == 1.0;
+    }));
+    std::string fromC =
+        e2e::rpc(c, R"({"app":"SPEC-BFS","scale":0.02,"seed":4})");
+    EXPECT_EQ(fromC.rfind("{\"status\":\"ok\"", 0), 0u);
+    EXPECT_FALSE(e2e::readable(b)) << "B's worker waited for A's result";
+
+    std::string fromA = e2e::recvLine(a);
+    EXPECT_EQ(fromA.rfind("{\"status\":\"ok\"", 0), 0u);
+    EXPECT_EQ(e2e::recvLine(b), fromA);
+    for (int fd : {x1, x2})
+        EXPECT_EQ(e2e::recvLine(fd).rfind("{\"status\":\"ok\"", 0), 0u);
+    JsonValue s = e2e::stats(probe);
+    EXPECT_EQ(s.at("result_cache").at("misses").asNumber(), 4.0);
+    EXPECT_EQ(e2e::cacheLookups(s), 5.0); // five cacheable sims
+    for (int fd : {x1, x2, a, b, c, probe})
+        ::close(fd);
+    srv.requestDrain();
+    serving.join();
 }
 
 } // namespace

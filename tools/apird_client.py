@@ -13,6 +13,7 @@ Modes:
       apird_client.py --soak --apird build/src/server/apird \\
           --fig9 build/bench/fig9_speedup --clients 32
     Fires >= `--clients` concurrent mixed-priority requests, asserts
+    the result cache counted each of them once, asserts
     every simulation response is byte-identical to a fresh-process
     `apird --once` evaluation of the same request, cross-checks the
     shared run fields against the fig9 bench's --stats-json output,
@@ -176,6 +177,15 @@ def soak(args):
         print(f"[soak] {len(lines)} concurrent requests in {dt:.2f}s")
         check(n_ok == len(lines),
               f"all {len(lines)} concurrent responses ok")
+        # Hits and in-flight repeats are answered on connection
+        # threads and misses by workers: still one result-store lookup
+        # per request, never two.
+        burst = probe.rpc({"op": "stats"})["stats"]
+        rc = burst["result_cache"]
+        check(rc["hits"] + rc["misses"] == burst["sims_ok"],
+              f"each request counted once by the result cache "
+              f"({rc['hits']} hits + {rc['misses']} misses, "
+              f"{burst['sims_ok']} ok)")
 
         # Phase 2: byte-identity against fresh single-process runs of
         # every distinct request in the mix.
