@@ -261,27 +261,315 @@ makeWorkloads(double scale, uint32_t seed)
     return w;
 }
 
+namespace {
+
+BlockSparseMatrix
+luInput(const Workloads &w)
+{
+    return randomBlockSparse(w.luBlocks, w.luBlockSize, w.luDensity,
+                             w.seed);
+}
+
+/** Largest finite entry of a level or distance array. */
+uint32_t
+maxFinite(const std::vector<uint32_t> &v)
+{
+    uint32_t best = 0;
+    for (uint32_t x : v)
+        if (x != kInfDistance)
+            best = std::max(best, x);
+    return best;
+}
+
+/** An App owning one built accelerator struct (spec + state). */
+template <typename Accel>
+class OwnedApp : public App
+{
+  public:
+    explicit OwnedApp(Accel a) : a_(std::move(a)) {}
+    const AcceleratorSpec &spec() const override { return a_.spec; }
+
+  protected:
+    Accel a_;
+};
+
+/** SPEC-BFS and COOR-BFS: all state lives in the device image. */
+struct BfsApp final : OwnedApp<BfsAccel>
+{
+    using OwnedApp::OwnedApp;
+
+    bool verify(const Workloads &w, const MemorySystem &mem) const override
+    {
+        return readLevels(a_.img, mem) == bfsSequential(w.road, 0);
+    }
+
+    WorkCounts work(const Workloads &w, const MemorySystem &mem) const override
+    {
+        double n = w.road.numVertices();
+        double m = static_cast<double>(w.road.numEdges());
+        return {.instructions = 25.0 * (n + m),
+                .randomAccesses = m + n,
+                .streamedBytes = (2.0 * m + 2.0 * n) * 8.0,
+                .serialFraction = 0.02,
+                .rounds = maxFinite(readLevels(a_.img, mem))};
+    }
+};
+
+/** SPEC-SSSP: all state lives in the device image. */
+struct SsspApp final : OwnedApp<SsspAccel>
+{
+    using OwnedApp::OwnedApp;
+
+    bool verify(const Workloads &w, const MemorySystem &mem) const override
+    {
+        return readDistances(a_.img, mem) == ssspSequential(w.road, 0);
+    }
+
+    /**
+     * The CPU counterpart's own work: a delta-stepping SSSP, which
+     * attempts each edge ~2x with bucket bookkeeping, one round per
+     * delta bucket (the competent parallel code on road networks).
+     */
+    WorkCounts work(const Workloads &w, const MemorySystem &) const override
+    {
+        double n = w.road.numVertices();
+        double m = static_cast<double>(w.road.numEdges());
+        double relax = 2.0 * m;
+        return {.instructions = 50.0 * relax,
+                .randomAccesses = 2.0 * relax,
+                .streamedBytes = (relax + n + 2.0 * m) * 8.0,
+                .serialFraction = 0.02,
+                .rounds = maxFinite(ssspSequential(w.road, 0)) >> 8};
+    }
+};
+
+/** SPEC-MST: the union-find lives on the host. */
+struct MstApp final : OwnedApp<MstAccel>
+{
+    using OwnedApp::OwnedApp;
+
+    HostState hostState() const override
+    {
+        MstState *st = a_.state.get();
+        return HostState([st]<typename Ar>(Ar &ar) {
+            ar.fixed(st->parent, "MST union-find entries");
+            for (uint32_t p : st->parent)
+                ar.check(p < st->parent.size(), "has MST parent ", p,
+                         " outside ", st->parent.size(), " vertices");
+            ar(st->nextTicket, st->result.totalWeight,
+               st->result.edgesInTree);
+        });
+    }
+
+    bool verify(const Workloads &w, const MemorySystem &) const override
+    {
+        return a_.state->result.totalWeight ==
+               mstSequential(w.road).totalWeight;
+    }
+
+    /** Sorting, priority queues and path-compressed finds ([33]'s
+     * optimistic engine); in-order commit sweeps make it 30% serial. */
+    WorkCounts work(const Workloads &, const MemorySystem &) const override
+    {
+        double m = static_cast<double>(a_.spec.initial.size());
+        return {.instructions =
+                    60.0 * m * std::log2(std::max(2.0, m)) + 60.0 * m,
+                .randomAccesses = 8.0 * m,
+                .streamedBytes = 3.0 * m * 8.0,
+                .serialFraction = 0.30,
+                .rounds = static_cast<uint64_t>(m) / 64};
+    }
+};
+
+/** SPEC-DMR: the mesh lives on the host. */
+struct DmrApp final : OwnedApp<DmrAccel>
+{
+    using OwnedApp::OwnedApp;
+
+    HostState hostState() const override
+    {
+        DmrState *st = a_.state.get();
+        return HostState([st]<typename Ar>(Ar &ar) {
+            // The mesh exposes its topology read-only; a restore
+            // installs it through restoreTopology().
+            std::vector<Point> points = st->mesh.points();
+            std::vector<Triangle> tris = st->mesh.triangles();
+            ar(points, tris);
+            for (const Triangle &t : tris) {
+                for (int k = 0; k < 3; ++k) {
+                    ar.check(t.v[k] < points.size() &&
+                                 (t.nbr[k] < tris.size() ||
+                                  t.nbr[k] == kNoTri),
+                             "has a SPEC-DMR triangle on vertex ", t.v[k],
+                             " next to triangle ", t.nbr[k], ", outside ",
+                             points.size(), " points and ", tris.size(),
+                             " triangles");
+                }
+            }
+            if constexpr (Ar::kRestoring)
+                st->mesh.restoreTopology(std::move(points),
+                                         std::move(tris));
+            // ar.seq writes hash maps in key order: deterministic bytes.
+            ar(st->applied);
+            ar.seq(st->produced);
+        });
+    }
+
+    bool verify(const Workloads &, const MemorySystem &) const override
+    {
+        const DmrState &st = *a_.state;
+        return summarizeMesh(st.mesh, st.params, st.applied)
+                   .remainingBad == 0;
+    }
+
+    /** Cavity geometry; Galois-style DMR scales well (10% serial). */
+    WorkCounts work(const Workloads &, const MemorySystem &) const override
+    {
+        double refinements = static_cast<double>(a_.state->applied);
+        return {.instructions = 2000.0 * refinements,
+                .randomAccesses = 40.0 * refinements,
+                .streamedBytes = 500.0 * refinements,
+                .serialFraction = 0.10,
+                .rounds = a_.state->applied / 40 + 1};
+    }
+};
+
+/** COOR-LU: the matrix is factored in place on the host. */
+struct LuApp final : OwnedApp<LuAccel>
+{
+    using OwnedApp::OwnedApp;
+
+    HostState hostState() const override
+    {
+        LuState *st = a_.state.get();
+        return HostState([st]<typename Ar>(Ar &ar) {
+            BlockSparseMatrix &m = st->a;
+            uint32_t n = m.numBlockRows();
+            ar.expect(n, "LU block rows");
+            ar.expect(m.blockSize(), "LU block size");
+            auto coords = m.structure(); // row-major (sorted) order
+            // Fill-in blocks appear dynamically; a restore rebuilds the
+            // block set from scratch rather than patching the
+            // generator's.
+            if constexpr (Ar::kRestoring)
+                m = BlockSparseMatrix(n, m.blockSize());
+            ar.seq(coords, [&](auto &c) {
+                ar(c.first, c.second);
+                ar.check(c.first < n && c.second < n, "has LU block (",
+                         c.first, ",", c.second, ") outside the ", n,
+                         "x", n, " block grid");
+                ar.fixed(m.block(c.first, c.second).data(),
+                         "values in an LU block");
+            });
+            ar.fixed(st->trsmLeft, "LU trsm counters");
+            ar.fixed(st->gemmLeft, "LU gemm counters");
+            ar(st->ops.factor, st->ops.trsm, st->ops.gemm);
+            ar.seq(st->produced);
+        });
+    }
+
+    /** The reference factors a fresh copy of the same input. */
+    bool verify(const Workloads &w, const MemorySystem &) const override
+    {
+        BlockSparseMatrix ref = luInput(w);
+        sparseLuSequential(ref);
+        return a_.state->a.maxDiff(ref) <= 1e-9;
+    }
+
+    WorkCounts work(const Workloads &w, const MemorySystem &) const override
+    {
+        const LuOpCounts &ops = a_.state->ops;
+        double gemm = static_cast<double>(ops.gemm);
+        double trsm = static_cast<double>(ops.trsm);
+        double factor = static_cast<double>(ops.factor);
+        double bs3 = std::pow(w.luBlockSize, 3.0);
+        double bs2 = std::pow(w.luBlockSize, 2.0);
+        return {.instructions = 500.0 * static_cast<double>(ops.total()),
+                .flops = 2.0 * bs3 * gemm + bs3 * trsm + 0.67 * bs3 * factor,
+                .randomAccesses = 10.0 * static_cast<double>(ops.total()),
+                .streamedBytes = 8.0 * bs2 * (3.0 * gemm + 2.0 * trsm + factor),
+                .serialFraction = 0.05,
+                .rounds = 3ull * w.luBlocks};
+    }
+};
+
+using AppPtr = std::unique_ptr<App>;
+
+const AppRow kAppTable[] = {
+    {Bench::SpecBfs, "SPEC-BFS", false,
+     [](const Workloads &w, MemorySystem &mem) -> AppPtr {
+         return std::make_unique<BfsApp>(buildSpecBfs(w.road, 0, mem));
+     },
+     [](const Workloads &w) { bfsSequential(w.road, 0); }, 3},
+    {Bench::CoorBfs, "COOR-BFS", false,
+     [](const Workloads &w, MemorySystem &mem) -> AppPtr {
+         return std::make_unique<BfsApp>(buildCoorBfs(w.road, 0, mem));
+     },
+     [](const Workloads &w) { bfsSequential(w.road, 0); }, 3},
+    {Bench::SpecSssp, "SPEC-SSSP", false,
+     [](const Workloads &w, MemorySystem &mem) -> AppPtr {
+         return std::make_unique<SsspApp>(buildSpecSssp(w.road, 0, mem));
+     },
+     [](const Workloads &w) { ssspSequential(w.road, 0); }, 3},
+    {Bench::SpecMst, "SPEC-MST", false,
+     [](const Workloads &w, MemorySystem &mem) -> AppPtr {
+         return std::make_unique<MstApp>(buildSpecMst(w.road, mem));
+     },
+     [](const Workloads &w) { mstSequential(w.road); }, 3},
+    {Bench::SpecDmr, "SPEC-DMR", true,
+     [](const Workloads &w, MemorySystem &mem) -> AppPtr {
+         return std::make_unique<DmrApp>(buildSpecDmr(
+             randomDelaunayMesh(w.meshPoints, w.seed), {}, mem));
+     },
+     [](const Workloads &w) {
+         Mesh mesh = randomDelaunayMesh(w.meshPoints, w.seed);
+         refineMesh(mesh, {});
+     },
+     1},
+    {Bench::CoorLu, "COOR-LU", true,
+     [](const Workloads &w, MemorySystem &mem) -> AppPtr {
+         return std::make_unique<LuApp>(buildCoorLu(luInput(w), mem));
+     },
+     [](const Workloads &w) {
+         BlockSparseMatrix a = luInput(w);
+         sparseLuSequential(a);
+     },
+     1},
+};
+
+static_assert(std::size(kAppTable) == std::size(kAllBenches));
+
+} // namespace
+
+const AppRow &
+appRow(Bench b)
+{
+    return kAppTable[static_cast<size_t>(b)];
+}
+
 const char *
 benchName(Bench b)
 {
-    switch (b) {
-      case Bench::SpecBfs:  return "SPEC-BFS";
-      case Bench::CoorBfs:  return "COOR-BFS";
-      case Bench::SpecSssp: return "SPEC-SSSP";
-      case Bench::SpecMst:  return "SPEC-MST";
-      case Bench::SpecDmr:  return "SPEC-DMR";
-      case Bench::CoorLu:   return "COOR-LU";
-    }
-    return "?";
+    return appRow(b).name;
 }
 
 std::optional<Bench>
 benchFromName(const std::string &name)
 {
-    for (Bench b : kAllBenches)
-        if (name == benchName(b))
-            return b;
+    for (const AppRow &row : kAppTable)
+        if (name == row.name)
+            return row.bench;
     return std::nullopt;
+}
+
+std::string
+benchNameList()
+{
+    std::string list = kAppTable[0].name;
+    for (size_t i = 1; i < std::size(kAppTable); ++i)
+        list += (i + 1 < std::size(kAppTable) ? ", " : " or ") +
+                std::string(kAppTable[i].name);
+    return list;
 }
 
 AccelConfig
@@ -323,25 +611,6 @@ requireNoCheckpoint(const Options &opt, const char *bench)
 }
 
 namespace {
-
-/**
- * The host-side dynamic state the accelerator's commit lambdas mutate
- * (union-find arrays, the mesh, the LU matrix, produced-successor
- * maps), written once as a generic `[](auto &ar)` field list that
- * serves both archives. Benchmarks whose state lives entirely in
- * device memory keep the empty default: the host.state section is
- * written with an empty payload so the file layout is uniform across
- * benchmarks.
- */
-struct HostState
-{
-    HostState() = default;
-    template <typename Fn>
-    explicit HostState(Fn fn) : save(fn), restore(fn) {}
-
-    std::function<void(ckpt::Writer &)> save = [](ckpt::Writer &) {};
-    std::function<void(ckpt::Reader &)> restore = [](ckpt::Reader &) {};
-};
 
 /**
  * Attach the checkpoint directives to a freshly built machine: restore
@@ -443,205 +712,21 @@ runAccelerator(Bench b, const Workloads &w, AccelConfig cfg, bool verify,
         return runAccelerator(b, w, cfg, verify, at);
     }
     setQuietLogging(true);
-    AccelRun out;
+    const AppRow &row = appRow(b);
     MemorySystem mem(cfg.mem);
-
-    switch (b) {
-      case Bench::SpecBfs:
-      case Bench::CoorBfs: {
-        BfsAccel app = (b == Bench::SpecBfs)
-                           ? buildSpecBfs(w.road, 0, mem)
-                           : buildCoorBfs(w.road, 0, mem);
-        Accelerator accel(app.spec, cfg, mem);
-        // All BFS state lives in the device image (mem.sys section).
-        HostState host;
-        wireCheckpoint(accel, cfg, b, w, ck, host);
-        out.rr = accel.run();
-        auto levels = readLevels(app.img, mem);
-        if (verify && levels != bfsSequential(w.road, 0))
-            fatal(benchName(b), " verification failed");
-        uint32_t depth = 0;
-        for (uint32_t l : levels)
-            if (l != kInfDistance)
-                depth = std::max(depth, l);
-        double n = w.road.numVertices();
-        double m = static_cast<double>(w.road.numEdges());
-        out.work.instructions = 25.0 * (n + m);
-        out.work.randomAccesses = m + n;
-        out.work.streamedBytes = (2.0 * m + 2.0 * n) * 8.0;
-        out.work.serialFraction = 0.02;
-        out.work.rounds = depth;
-        break;
-      }
-      case Bench::SpecSssp: {
-        auto app = buildSpecSssp(w.road, 0, mem);
-        Accelerator accel(app.spec, cfg, mem);
-        // All SSSP state lives in the device image (mem.sys section).
-        HostState host;
-        wireCheckpoint(accel, cfg, b, w, ck, host);
-        out.rr = accel.run();
-        if (verify &&
-            readDistances(app.img, mem) != ssspSequential(w.road, 0))
-            fatal("SPEC-SSSP verification failed");
-        // The CPU counterpart's own work: a delta-stepping SSSP
-        // (the competent parallel implementation on road networks),
-        // which attempts each edge ~2x with bucket bookkeeping.
-        double n = w.road.numVertices();
-        double m = static_cast<double>(w.road.numEdges());
-        auto dist = ssspSequential(w.road, 0);
-        uint32_t max_dist = 0;
-        for (uint32_t d : dist)
-            if (d != kInfDistance)
-                max_dist = std::max(max_dist, d);
-        double relax = 2.0 * m;
-        out.work.instructions = 50.0 * relax;
-        out.work.randomAccesses = 2.0 * relax;
-        out.work.streamedBytes = (relax + n + 2.0 * m) * 8.0;
-        out.work.serialFraction = 0.02;
-        out.work.rounds = max_dist >> 8; // one round per delta bucket
-        break;
-      }
-      case Bench::SpecMst: {
-        auto app = buildSpecMst(w.road, mem);
-        Accelerator accel(app.spec, cfg, mem);
-        MstState *st = app.state.get();
-        HostState host([st]<typename Ar>(Ar &ar) {
-            ar.fixed(st->parent, "MST union-find entries");
-            for (uint32_t p : st->parent)
-                ar.check(p < st->parent.size(), "has MST parent ", p,
-                         " outside ", st->parent.size(), " vertices");
-            ar(st->nextTicket, st->result.totalWeight,
-               st->result.edgesInTree);
-        });
-        wireCheckpoint(accel, cfg, b, w, ck, host);
-        out.rr = accel.run();
-        if (verify) {
-            MstResult ref = mstSequential(w.road);
-            if (app.state->result.totalWeight != ref.totalWeight)
-                fatal("SPEC-MST verification failed");
-        }
-        double m = static_cast<double>(app.spec.initial.size());
-        // Comparison sort plus priority-queue maintenance and
-        // path-compressed finds ([33]'s optimistic engine).
-        out.work.instructions =
-            60.0 * m * std::log2(std::max(2.0, m)) + 60.0 * m;
-        out.work.randomAccesses = 8.0 * m;
-        out.work.streamedBytes = 3.0 * m * 8.0;
-        out.work.serialFraction = 0.30; // in-order commit sweeps
-        out.work.rounds = static_cast<uint64_t>(m) / 64;
-        break;
-      }
-      case Bench::SpecDmr: {
-        // Tasks are sent from the host in the paper's setup.
-        if (cfg.hostBatch == 0) {
-            cfg.hostBatch = 16;
-            cfg.hostInterval = 64;
-        }
-        RefineParams params;
-        Mesh mesh = randomDelaunayMesh(w.meshPoints, w.seed);
-        auto app = buildSpecDmr(std::move(mesh), params, mem);
-        Accelerator accel(app.spec, cfg, mem);
-        DmrState *st = app.state.get();
-        HostState host([st]<typename Ar>(Ar &ar) {
-            // The mesh exposes its topology read-only; a restore
-            // installs it through restoreTopology().
-            std::vector<Point> points = st->mesh.points();
-            std::vector<Triangle> tris = st->mesh.triangles();
-            ar(points, tris);
-            for (const Triangle &t : tris) {
-                for (int k = 0; k < 3; ++k) {
-                    ar.check(t.v[k] < points.size() &&
-                                 (t.nbr[k] < tris.size() ||
-                                  t.nbr[k] == kNoTri),
-                             "has a SPEC-DMR triangle on vertex ", t.v[k],
-                             " next to triangle ", t.nbr[k], ", outside ",
-                             points.size(), " points and ", tris.size(),
-                             " triangles");
-                }
-            }
-            if constexpr (Ar::kRestoring)
-                st->mesh.restoreTopology(std::move(points),
-                                         std::move(tris));
-            // ar.seq writes hash maps in key order: deterministic bytes.
-            ar(st->applied);
-            ar.seq(st->produced);
-        });
-        wireCheckpoint(accel, cfg, b, w, ck, host);
-        out.rr = accel.run();
-        if (verify) {
-            auto res = summarizeMesh(app.state->mesh, params,
-                                     app.state->applied);
-            if (res.remainingBad != 0)
-                fatal("SPEC-DMR verification failed");
-        }
-        double refinements = static_cast<double>(app.state->applied);
-        out.work.instructions = 2000.0 * refinements; // cavity geometry
-        out.work.randomAccesses = 40.0 * refinements;
-        out.work.streamedBytes = 500.0 * refinements;
-        out.work.serialFraction = 0.10; // Galois-style DMR scales well
-        out.work.rounds = app.state->applied / 40 + 1;
-        break;
-      }
-      case Bench::CoorLu: {
-        if (cfg.hostBatch == 0) {
-            cfg.hostBatch = 16;
-            cfg.hostInterval = 64;
-        }
-        BlockSparseMatrix a = randomBlockSparse(
-            w.luBlocks, w.luBlockSize, w.luDensity, w.seed);
-        BlockSparseMatrix ref = a;
-        auto app = buildCoorLu(std::move(a), mem);
-        Accelerator accel(app.spec, cfg, mem);
-        LuState *st = app.state.get();
-        HostState host([st]<typename Ar>(Ar &ar) {
-            BlockSparseMatrix &m = st->a;
-            uint32_t n = m.numBlockRows();
-            ar.expect(n, "LU block rows");
-            ar.expect(m.blockSize(), "LU block size");
-            auto coords = m.structure(); // row-major (sorted) order
-            // Fill-in blocks appear dynamically; a restore rebuilds the
-            // block set from scratch rather than patching the
-            // generator's.
-            if constexpr (Ar::kRestoring)
-                m = BlockSparseMatrix(n, m.blockSize());
-            ar.seq(coords, [&](auto &c) {
-                ar(c.first, c.second);
-                ar.check(c.first < n && c.second < n, "has LU block (",
-                         c.first, ",", c.second, ") outside the ", n,
-                         "x", n, " block grid");
-                ar.fixed(m.block(c.first, c.second).data(),
-                         "values in an LU block");
-            });
-            ar.fixed(st->trsmLeft, "LU trsm counters");
-            ar.fixed(st->gemmLeft, "LU gemm counters");
-            ar(st->ops.factor, st->ops.trsm, st->ops.gemm);
-            ar.seq(st->produced);
-        });
-        wireCheckpoint(accel, cfg, b, w, ck, host);
-        out.rr = accel.run();
-        if (verify) {
-            sparseLuSequential(ref);
-            if (app.state->a.maxDiff(ref) > 1e-9)
-                fatal("COOR-LU verification failed");
-        }
-        const LuOpCounts &ops = app.state->ops;
-        double bs3 = std::pow(w.luBlockSize, 3.0);
-        double bs2 = std::pow(w.luBlockSize, 2.0);
-        out.work.flops = 2.0 * bs3 * static_cast<double>(ops.gemm) +
-                         bs3 * static_cast<double>(ops.trsm) +
-                         0.67 * bs3 * static_cast<double>(ops.factor);
-        out.work.instructions = 500.0 * static_cast<double>(ops.total());
-        out.work.randomAccesses = 10.0 * static_cast<double>(ops.total());
-        out.work.streamedBytes =
-            8.0 * bs2 *
-            (3.0 * static_cast<double>(ops.gemm) +
-             2.0 * static_cast<double>(ops.trsm) +
-             static_cast<double>(ops.factor));
-        out.work.serialFraction = 0.05;
-        out.work.rounds = 3ull * w.luBlocks;
-        break;
-      }
+    if (row.hostFed && cfg.hostBatch == 0) {
+        cfg.hostBatch = 16;
+        cfg.hostInterval = 64;
     }
+    std::unique_ptr<App> app = row.build(w, mem);
+    Accelerator accel(app->spec(), cfg, mem);
+    HostState host = app->hostState();
+    wireCheckpoint(accel, cfg, b, w, ck, host);
+    AccelRun out;
+    out.rr = accel.run();
+    if (verify && !app->verify(w, mem))
+        fatal(row.name, " verification failed");
+    out.work = app->work(w, mem);
     out.seconds = out.rr.seconds;
     return out;
 }

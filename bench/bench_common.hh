@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared infrastructure for the paper-reproduction benches: standard
- * workloads (scaled by --scale), accelerator run helpers for all six
- * benchmarks, and wall-clock measurement utilities.
+ * workloads (scaled by --scale), the app table and accelerator run
+ * helpers for all six benchmarks, and wall-clock measurement utilities.
  */
 
 #ifndef APIR_BENCH_BENCH_COMMON_HH
@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "apps/lu.hh"
 #include "apps/mst.hh"
 #include "apps/sssp.hh"
+#include "checkpoint/ckpt.hh"
 #include "cpumodel/xeon_model.hh"
 #include "graph/generators.hh"
 #include "hw/accelerator.hh"
@@ -154,7 +156,63 @@ enum class Bench
     CoorLu,
 };
 
+/**
+ * The host state an app's commit lambdas mutate, as one generic
+ * `[](auto &ar)` field list for both checkpoint archives; empty when
+ * all state lives in device memory.
+ */
+struct HostState
+{
+    HostState() = default;
+    template <typename Fn>
+    explicit HostState(Fn fn) : save(fn), restore(fn) {}
+
+    std::function<void(ckpt::Writer &)> save = [](ckpt::Writer &) {};
+    std::function<void(ckpt::Reader &)> restore = [](ckpt::Reader &) {};
+};
+
+/**
+ * One benchmark built on a MemorySystem. It owns the spec and the host
+ * state its commit lambdas mutate, so it must outlive the Accelerator
+ * that runs it (which keeps the spec by reference).
+ */
+class App
+{
+  public:
+    virtual ~App() = default;
+    virtual const AcceleratorSpec &spec() const = 0;
+    virtual HostState hostState() const { return {}; }
+    /** Whether the finished run matches the sequential reference. */
+    virtual bool verify(const Workloads &w,
+                        const MemorySystem &mem) const = 0;
+    /** The finished run's work, for the Xeon model (Figure 9). */
+    virtual WorkCounts work(const Workloads &w,
+                            const MemorySystem &mem) const = 0;
+};
+
+/**
+ * One row of the app table: what sets a benchmark apart
+ * (docs/parallel-runner.md, "Adding a benchmark"). Rows follow
+ * kAllBenches order.
+ */
+struct AppRow
+{
+    Bench bench;
+    const char *name; //!< paper name, also apird's "app" value
+    /** Host-fed like the paper's DMR and LU: unset hostBatch -> 16/64. */
+    bool hostFed;
+    std::unique_ptr<App> (*build)(const Workloads &w, MemorySystem &mem);
+    /** Native sequential reference Fig. 9 times, best of reps. */
+    void (*sequential)(const Workloads &w);
+    int sequentialReps;
+};
+
+const AppRow &appRow(Bench b);
+
 const char *benchName(Bench b);
+
+/** "SPEC-BFS, COOR-BFS, ... or COOR-LU", for error messages. */
+std::string benchNameList();
 
 /**
  * Inverse of benchName ("SPEC-BFS" -> Bench::SpecBfs); nullopt for
@@ -165,8 +223,7 @@ std::optional<Bench> benchFromName(const std::string &name);
 
 /**
  * Build and run the accelerator for one benchmark on the standard
- * workload. `hostFed` selects the incremental host-injection mode the
- * paper uses for SPEC-DMR and COOR-LU. When `ck` carries a restore
+ * workload, as its app-table row says. When `ck` carries a restore
  * prefix the machine is rebuilt from (bench, scale, seed, cfg), the
  * serialized dynamic state is overlaid, and the run resumes from the
  * saved cycle; when it carries a save prefix the full machine + host

@@ -29,28 +29,6 @@ runnerFor(Bench b, const Workloads &w)
     };
 }
 
-/** The spec is only needed for resource pruning; build it once. */
-AcceleratorSpec
-specFor(Bench b, const Workloads &w, MemorySystem &mem)
-{
-    switch (b) {
-      case Bench::SpecBfs:  return buildSpecBfs(w.road, 0, mem).spec;
-      case Bench::CoorBfs:  return buildCoorBfs(w.road, 0, mem).spec;
-      case Bench::SpecSssp: return buildSpecSssp(w.road, 0, mem).spec;
-      case Bench::SpecMst:  return buildSpecMst(w.road, mem).spec;
-      case Bench::SpecDmr: {
-        RefineParams params;
-        Mesh mesh = randomDelaunayMesh(64, 1);
-        return buildSpecDmr(std::move(mesh), params, mem).spec;
-      }
-      case Bench::CoorLu: {
-        BlockSparseMatrix a = randomBlockSparse(4, 8, 0.4, 1);
-        return buildCoorLu(std::move(a), mem).spec;
-      }
-    }
-    fatal("unknown benchmark");
-}
-
 } // namespace
 
 int
@@ -83,13 +61,14 @@ main(int argc, char **argv)
 
     size_t next = 0;
     for (Bench b : kAllBenches) {
+        // Resource pruning reads the spec of the workload it simulates.
         MemorySystem scratch;
-        AcceleratorSpec spec = specFor(b, w, scratch);
+        std::unique_ptr<App> app = appRow(b).build(w, scratch);
         AccelConfig base = defaultAccelConfig(opt);
         const AccelRun &dflt = defaults[next++];
 
         DseResult res =
-            exploreDesignSpace(spec, base, runnerFor(b, w), options);
+            exploreDesignSpace(app->spec(), base, runnerFor(b, w), options);
         const DsePoint &best = res.best();
 
         table.addRow(

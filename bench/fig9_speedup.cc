@@ -23,42 +23,6 @@
 using namespace apir;
 using namespace apir::bench;
 
-namespace {
-
-/** Native wall-clock of the sequential algorithm (transparency). */
-double
-nativeSequentialSeconds(Bench b, const Workloads &w)
-{
-    switch (b) {
-      case Bench::SpecBfs:
-      case Bench::CoorBfs:
-        return timeSeconds([&] { bfsSequential(w.road, 0); });
-      case Bench::SpecSssp:
-        return timeSeconds([&] { ssspSequential(w.road, 0); });
-      case Bench::SpecMst:
-        return timeSeconds([&] { mstSequential(w.road); });
-      case Bench::SpecDmr:
-        return timeSeconds(
-            [&] {
-                RefineParams params;
-                Mesh mesh = randomDelaunayMesh(w.meshPoints, w.seed);
-                refineMesh(mesh, params);
-            },
-            1);
-      case Bench::CoorLu:
-        return timeSeconds(
-            [&] {
-                BlockSparseMatrix a = randomBlockSparse(
-                    w.luBlocks, w.luBlockSize, w.luDensity, w.seed);
-                sparseLuSequential(a);
-            },
-            1);
-    }
-    return 0.0;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -92,7 +56,9 @@ main(int argc, char **argv)
         const AccelRun &run = sweep[i];
         double t1 = xeonTime(run.work, xeon, 1);
         double t10 = xeonTime(run.work, xeon, 10);
-        double native = nativeSequentialSeconds(b, w);
+        const AppRow &row = appRow(b);
+        double native = timeSeconds([&] { row.sequential(w); },
+                                    row.sequentialReps);
         double s1 = t1 / run.seconds;
         double s10 = t10 / run.seconds;
         JsonValue j = runToJson(run);

@@ -31,15 +31,6 @@ namespace {
 const char *kTickUsage =
     "usage: micro_tick [--bench NAME] [--reps N] [shared bench flags]";
 
-std::optional<Bench>
-benchByName(const std::string &name)
-{
-    for (Bench b : kAllBenches)
-        if (name == benchName(b))
-            return b;
-    return std::nullopt;
-}
-
 } // namespace
 
 int
@@ -63,7 +54,7 @@ main(int argc, char **argv)
         };
         if (a == "--bench" || a.rfind("--bench=", 0) == 0) {
             std::string name = value("--bench");
-            auto b = benchByName(name);
+            auto b = benchFromName(name);
             if (!b)
                 fatal("unknown benchmark '", name, "'; ", kTickUsage);
             selected.push_back(*b);

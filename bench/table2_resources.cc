@@ -20,32 +20,6 @@
 using namespace apir;
 using namespace apir::bench;
 
-namespace {
-
-AcceleratorSpec
-buildSpecFor(Bench b, const Workloads &w, MemorySystem &mem)
-{
-    switch (b) {
-      case Bench::SpecBfs:  return buildSpecBfs(w.road, 0, mem).spec;
-      case Bench::CoorBfs:  return buildCoorBfs(w.road, 0, mem).spec;
-      case Bench::SpecSssp: return buildSpecSssp(w.road, 0, mem).spec;
-      case Bench::SpecMst:  return buildSpecMst(w.road, mem).spec;
-      case Bench::SpecDmr: {
-        RefineParams params;
-        Mesh mesh = randomDelaunayMesh(w.meshPoints, w.seed);
-        return buildSpecDmr(std::move(mesh), params, mem).spec;
-      }
-      case Bench::CoorLu: {
-        BlockSparseMatrix a = randomBlockSparse(
-            w.luBlocks, w.luBlockSize, w.luDensity, w.seed);
-        return buildCoorLu(std::move(a), mem).spec;
-      }
-    }
-    fatal("unknown benchmark");
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -64,7 +38,8 @@ main(int argc, char **argv)
     double min_share = 1.0, max_share = 0.0;
     for (Bench b : kAllBenches) {
         MemorySystem mem;
-        AcceleratorSpec spec = buildSpecFor(b, w, mem);
+        std::unique_ptr<App> app = appRow(b).build(w, mem);
+        const AcceleratorSpec &spec = app->spec();
         AccelConfig cfg = defaultAccelConfig(opt);
         cfg.pipelinesPerSet = fitPipelinesToDevice(spec, cfg, dev);
         ResourceReport rep = estimateResources(spec, cfg);

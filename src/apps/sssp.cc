@@ -115,34 +115,6 @@ ssspParallelEmulated(const CsrGraph &g, VertexId root,
     return {std::move(dist), emu.emulatedSeconds()};
 }
 
-SsspWorkProfile
-ssspWorkProfile(const CsrGraph &g, VertexId root)
-{
-    SsspWorkProfile prof;
-    std::vector<uint32_t> dist(g.numVertices(), kInfDistance);
-    dist[root] = 0;
-    std::vector<VertexId> frontier{root};
-    while (!frontier.empty()) {
-        ++prof.rounds;
-        std::vector<VertexId> next;
-        for (VertexId v : frontier) {
-            uint32_t dv = dist[v];
-            for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                ++prof.relaxationsAttempted;
-                VertexId u = g.edgeDst(e);
-                uint32_t nd = dv + g.edgeWeight(e);
-                if (nd < dist[u]) {
-                    dist[u] = nd;
-                    next.push_back(u);
-                    ++prof.improvements;
-                }
-            }
-        }
-        frontier = std::move(next);
-    }
-    return prof;
-}
-
 std::vector<uint32_t>
 readDistances(const GraphImage &img, const MemorySystem &mem)
 {

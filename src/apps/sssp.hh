@@ -36,15 +36,6 @@ std::vector<uint32_t> ssspParallelThreads(const CsrGraph &g, VertexId root,
 EmulatedRun ssspParallelEmulated(const CsrGraph &g, VertexId root,
                                  const MulticoreConfig &cfg);
 
-/** Work profile of a Bellman-Ford run (for the Xeon timing model). */
-struct SsspWorkProfile
-{
-    uint64_t relaxationsAttempted = 0; //!< edges scanned from frontiers
-    uint64_t improvements = 0;         //!< successful distance writes
-    uint64_t rounds = 0;
-};
-SsspWorkProfile ssspWorkProfile(const CsrGraph &g, VertexId root);
-
 /** A built SSSP accelerator. */
 struct SsspAccel
 {

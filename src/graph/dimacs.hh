@@ -21,9 +21,6 @@ namespace apir {
 /** Parse a DIMACS-sp graph from a stream. Throws fatal() on errors. */
 CsrGraph readDimacs(std::istream &in);
 
-/** Parse a DIMACS-sp graph from a file path. */
-CsrGraph readDimacsFile(const std::string &path);
-
 /** Write a graph in DIMACS-sp format. */
 void writeDimacs(const CsrGraph &g, std::ostream &out);
 

@@ -86,7 +86,6 @@ class RuleEngine
     // Statistics.
     uint64_t allocs() const { return allocs_.value(); }
     uint64_t allocFails() const { return allocFails_.value(); }
-    uint64_t eventsSeen() const { return events_.value(); }
     uint64_t clauseFires() const { return clauseFires_.value(); }
     uint64_t otherwiseFires() const { return otherwiseFires_.value(); }
     uint64_t fallbackFires() const { return fallbackFires_.value(); }

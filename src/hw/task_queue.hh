@@ -104,9 +104,6 @@ class TaskQueueUnit
     size_t occupancy() const;
     uint64_t maxOccupancy() const { return maxOccupancy_; }
 
-    /** Queue-depth distribution, sampled at every push. */
-    const Histogram &occupancyHistogram() const { return occHist_; }
-
     /** Register this queue's statistics under `component`. */
     void registerStats(StatRegistry &reg,
                        const std::string &component) const;

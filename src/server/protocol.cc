@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "bench_common.hh"
+
 namespace apir {
 namespace server {
 
@@ -173,9 +175,8 @@ parseRequest(const std::string &line)
     }
 
     if (req.op == Request::Op::Sim && !sawApp)
-        reject("simulation requests require 'app' "
-               "(SPEC-BFS, COOR-BFS, SPEC-SSSP, SPEC-MST, SPEC-DMR "
-               "or COOR-LU)");
+        reject("simulation requests require 'app' (" +
+               bench::benchNameList() + ")");
     if (req.op != Request::Op::Sim && sawApp)
         reject("'app' is only valid on sim requests");
     (void)sawOp;

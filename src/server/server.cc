@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "support/logging.hh"
@@ -170,20 +171,27 @@ ApirdServer::serve()
 void
 ApirdServer::dispatchLoop()
 {
-    while (auto job = queue_.pop()) {
-        {
-            std::lock_guard<std::mutex> lock(statsMu_);
-            queueDepth_.sample(static_cast<double>(queue_.size()));
-        }
-        // Hold in-flight work at the worker count: jobs wait in the
-        // *priority* queue, not the pool's FIFO, so a High request
-        // admitted late still beats every queued Low one.
+    for (;;) {
+        // Wait for a free worker *before* taking a job, so every
+        // waiting job sits in the priority queue (counted by its depth
+        // and bound, and beaten by a later High one). Only this thread
+        // raises inFlight_: the slot is still free when pop() returns.
         {
             std::unique_lock<std::mutex> lock(flightMu_);
             flightCv_.wait(lock, [&] {
                 return inFlight_ < pool_.numThreads();
             });
+        }
+        std::optional<std::shared_ptr<Job>> job = queue_.pop();
+        if (!job)
+            break; // closed and drained
+        {
+            std::lock_guard<std::mutex> lock(flightMu_);
             ++inFlight_;
+        }
+        {
+            std::lock_guard<std::mutex> lock(statsMu_);
+            queueDepth_.sample(static_cast<double>(queue_.size()));
         }
         std::shared_ptr<Job> j = *job;
         pool_.submit([this, j] {

@@ -91,10 +91,9 @@ SimService::resolve(const SimRequest &req) const
     try {
         auto b = bench::benchFromName(req.app);
         if (!b)
-            throw std::runtime_error(
-                "unknown app '" + req.app +
-                "' (expected SPEC-BFS, COOR-BFS, SPEC-SSSP, SPEC-MST, "
-                "SPEC-DMR or COOR-LU)");
+            throw std::runtime_error("unknown app '" + req.app +
+                                     "' (expected " +
+                                     bench::benchNameList() + ")");
         if (maxScale_ > 0.0 && req.scale > maxScale_)
             throw std::runtime_error(strprintf(
                 "scale %g exceeds this server's --max-scale %g",

@@ -66,8 +66,6 @@ class PoolArena
     uint64_t allocations() const { return allocs_; }
     /** Bytes those allocations amount to (reuse included). */
     uint64_t allocatedBytes() const { return allocBytes_; }
-    /** Bytes of chunk memory actually reserved from the heap. */
-    uint64_t reservedBytes() const { return reservedBytes_; }
 
   private:
     struct FreeNode
@@ -111,7 +109,6 @@ class PoolArena
             if (chunk < bytes + alignment)
                 chunk = bytes + alignment;
             chunks_.emplace_back(new std::byte[chunk]);
-            reservedBytes_ += chunk;
             cur_ = reinterpret_cast<uintptr_t>(chunks_.back().get());
             end_ = cur_ + chunk;
             p = (cur_ + alignment - 1) / alignment * alignment;
@@ -128,7 +125,6 @@ class PoolArena
     std::vector<FreeList> freeLists_;
     uint64_t allocs_ = 0;
     uint64_t allocBytes_ = 0;
-    uint64_t reservedBytes_ = 0;
 };
 
 /**

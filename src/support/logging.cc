@@ -36,12 +36,6 @@ setQuietLogging(bool q)
     quiet.store(q, std::memory_order_relaxed);
 }
 
-bool
-quietLogging()
-{
-    return quiet.load(std::memory_order_relaxed);
-}
-
 ScopedFatalThrows::ScopedFatalThrows()
 {
     ++fatalThrowDepth;

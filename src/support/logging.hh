@@ -116,7 +116,6 @@ inform(Args &&...args)
 
 /** Silence inform()/warn() output (used by tests and benches). */
 void setQuietLogging(bool quiet);
-bool quietLogging();
 
 /**
  * Assert a condition that must hold unless apir itself is broken.

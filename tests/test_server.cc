@@ -831,10 +831,10 @@ TEST(ApirdServer, DispatchedRepeatOfAnInFlightKeyFreesItsWorker)
     std::string key = R"({"app":"SPEC-BFS","scale":1.0,"seed":3})";
     e2e::sendLine(a, key);
     e2e::sendLine(b, key);
-    // The dispatcher holds A's job, popped, until a worker is free;
-    // B's waits in the queue.
+    // The dispatcher takes no job until a worker is free, so A's and
+    // B's both wait in the queue.
     ASSERT_TRUE(e2e::waitForStats(probe, [](const JsonValue &s) {
-        return s.at("queue").at("depth").asNumber() == 1.0;
+        return s.at("queue").at("depth").asNumber() == 2.0;
     }));
     EXPECT_EQ(e2e::stats(probe).at("result_cache").at("hits").asNumber(),
               0.0);
@@ -860,6 +860,57 @@ TEST(ApirdServer, DispatchedRepeatOfAnInFlightKeyFreesItsWorker)
     EXPECT_EQ(s.at("result_cache").at("misses").asNumber(), 4.0);
     EXPECT_EQ(e2e::cacheLookups(s), 5.0); // five cacheable sims
     for (int fd : {x1, x2, a, b, c, probe})
+        ::close(fd);
+    srv.requestDrain();
+    serving.join();
+}
+
+TEST(ApirdServer, HighAdmittedWhileWorkersBusyBeatsEarlierLow)
+{
+    ApirdOptions opt;
+    opt.workers = 2;
+    opt.scenarioDir = APIR_SCENARIO_DIR;
+    ApirdServer srv(opt);
+    uint16_t port = srv.start();
+    std::thread serving([&] { srv.serve(); });
+
+    int shortBusy = e2e::connectTo(port);
+    int longBusy = e2e::connectTo(port);
+    int low = e2e::connectTo(port);
+    int high = e2e::connectTo(port);
+    int probe = e2e::connectTo(port);
+    auto inFlight = [](double n) {
+        return [n](const JsonValue &s) {
+            return s.at("in_flight").asNumber() == n;
+        };
+    };
+    // Both workers busy; the first frees long before the second.
+    e2e::sendLine(shortBusy, R"({"app":"SPEC-BFS","scale":1.0,"seed":1})");
+    ASSERT_TRUE(e2e::waitForStats(probe, inFlight(1)));
+    e2e::sendLine(longBusy, R"({"app":"SPEC-BFS","scale":4.0,"seed":2})");
+    ASSERT_TRUE(e2e::waitForStats(probe, inFlight(2)));
+
+    // A Low request, then a High one. Both must wait in the priority
+    // queue, where the High one is taken first. (The pause lets a
+    // dispatcher that takes a job before it has a worker take the Low
+    // one, which then runs first and is not counted in the depth.)
+    e2e::sendLine(low, R"({"app":"SPEC-BFS","scale":0.5,"seed":3,)"
+                       R"("priority":"low"})");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    e2e::sendLine(high, R"({"app":"SPEC-BFS","scale":0.5,"seed":4,)"
+                        R"("priority":"high"})");
+    ASSERT_TRUE(e2e::waitForStats(probe, [](const JsonValue &s) {
+        return s.at("queue").at("depth").asNumber() == 2.0;
+    }));
+
+    // The first free worker runs the High request and only then the
+    // Low one, a whole simulation later.
+    EXPECT_EQ(e2e::recvLine(high).rfind("{\"status\":\"ok\"", 0), 0u);
+    EXPECT_FALSE(e2e::readable(low)) << "the earlier Low request ran first";
+    EXPECT_EQ(e2e::recvLine(low).rfind("{\"status\":\"ok\"", 0), 0u);
+    for (int fd : {shortBusy, longBusy})
+        EXPECT_EQ(e2e::recvLine(fd).rfind("{\"status\":\"ok\"", 0), 0u);
+    for (int fd : {shortBusy, longBusy, low, high, probe})
         ::close(fd);
     srv.requestDrain();
     serving.join();

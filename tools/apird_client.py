@@ -22,7 +22,8 @@ Modes:
     with a SIGTERM drain (exit 0 + final_stats line + connection
     refused afterwards).
 
-  Throughput (EXPERIMENTS.md numbers):
+  Throughput smoke check (not a measurement; for req/s numbers run
+  `python3 perfbench/run.py --workload apird-mix`):
       apird_client.py --throughput --apird build/src/server/apird \\
           --clients 16 --requests 200
 
@@ -325,8 +326,13 @@ def soak(args):
 
 
 def throughput(args):
-    """Requests/sec + cache hit rate at a given client-thread count
-    (the EXPERIMENTS.md measurement)."""
+    """Smoke check: a burst of requests from several client threads is
+    all served; prints requests/sec and the cache hit rate.
+
+    Not a throughput measurement: a run this short is bounded by its
+    few cold misses (6 apps on 2 workers), so its req/s swings widely
+    between runs of one build. For throughput numbers run
+    `python3 perfbench/run.py --workload apird-mix`."""
     daemon = Daemon(args.apird,
                     ["--threads", str(args.threads)],
                     scenario_dir=args.scenario_dir)
