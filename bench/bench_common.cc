@@ -500,41 +500,49 @@ const AppRow kAppTable[] = {
      [](const Workloads &w, MemorySystem &mem) -> AppPtr {
          return std::make_unique<BfsApp>(buildSpecBfs(w.road, 0, mem));
      },
-     [](const Workloads &w) { bfsSequential(w.road, 0); }, 3},
+     [](const Workloads &w) {
+         return timeSeconds([&] { bfsSequential(w.road, 0); });
+     }},
     {Bench::CoorBfs, "COOR-BFS", false,
      [](const Workloads &w, MemorySystem &mem) -> AppPtr {
          return std::make_unique<BfsApp>(buildCoorBfs(w.road, 0, mem));
      },
-     [](const Workloads &w) { bfsSequential(w.road, 0); }, 3},
+     [](const Workloads &w) {
+         return timeSeconds([&] { bfsSequential(w.road, 0); });
+     }},
     {Bench::SpecSssp, "SPEC-SSSP", false,
      [](const Workloads &w, MemorySystem &mem) -> AppPtr {
          return std::make_unique<SsspApp>(buildSpecSssp(w.road, 0, mem));
      },
-     [](const Workloads &w) { ssspSequential(w.road, 0); }, 3},
+     [](const Workloads &w) {
+         return timeSeconds([&] { ssspSequential(w.road, 0); });
+     }},
     {Bench::SpecMst, "SPEC-MST", false,
      [](const Workloads &w, MemorySystem &mem) -> AppPtr {
          return std::make_unique<MstApp>(buildSpecMst(w.road, mem));
      },
-     [](const Workloads &w) { mstSequential(w.road); }, 3},
+     [](const Workloads &w) {
+         return timeSeconds([&] { mstSequential(w.road); });
+     }},
     {Bench::SpecDmr, "SPEC-DMR", true,
      [](const Workloads &w, MemorySystem &mem) -> AppPtr {
          return std::make_unique<DmrApp>(buildSpecDmr(
              randomDelaunayMesh(w.meshPoints, w.seed), {}, mem));
      },
      [](const Workloads &w) {
+         // One rep: refinement consumes its input.
          Mesh mesh = randomDelaunayMesh(w.meshPoints, w.seed);
-         refineMesh(mesh, {});
-     },
-     1},
+         return timeSeconds([&] { refineMesh(mesh, {}); }, 1);
+     }},
     {Bench::CoorLu, "COOR-LU", true,
      [](const Workloads &w, MemorySystem &mem) -> AppPtr {
          return std::make_unique<LuApp>(buildCoorLu(luInput(w), mem));
      },
      [](const Workloads &w) {
+         // One rep: the factorization is in place.
          BlockSparseMatrix a = luInput(w);
-         sparseLuSequential(a);
-     },
-     1},
+         return timeSeconds([&] { sparseLuSequential(a); }, 1);
+     }},
 };
 
 static_assert(std::size(kAppTable) == std::size(kAllBenches));

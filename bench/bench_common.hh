@@ -202,9 +202,11 @@ struct AppRow
     /** Host-fed like the paper's DMR and LU: unset hostBatch -> 16/64. */
     bool hostFed;
     std::unique_ptr<App> (*build)(const Workloads &w, MemorySystem &mem);
-    /** Native sequential reference Fig. 9 times, best of reps. */
-    void (*sequential)(const Workloads &w);
-    int sequentialReps;
+    /**
+     * Seconds of the native sequential reference Fig. 9 prints, input
+     * built outside the timed region.
+     */
+    double (*sequential)(const Workloads &w);
 };
 
 const AppRow &appRow(Bench b);

@@ -56,9 +56,7 @@ main(int argc, char **argv)
         const AccelRun &run = sweep[i];
         double t1 = xeonTime(run.work, xeon, 1);
         double t10 = xeonTime(run.work, xeon, 10);
-        const AppRow &row = appRow(b);
-        double native = timeSeconds([&] { row.sequential(w); },
-                                    row.sequentialReps);
+        double native = appRow(b).sequential(w);
         double s1 = t1 / run.seconds;
         double s10 = t10 / run.seconds;
         JsonValue j = runToJson(run);

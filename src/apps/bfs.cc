@@ -1,8 +1,6 @@
 #include "apps/bfs.hh"
 
-#include <atomic>
 #include <deque>
-#include <thread>
 
 #include "bdfg/builder.hh"
 #include "support/logging.hh"
@@ -35,76 +33,6 @@ bfsSequential(const CsrGraph &g, VertexId root)
         }
     }
     return level;
-}
-
-std::vector<uint32_t>
-bfsParallelThreads(const CsrGraph &g, VertexId root, uint32_t threads)
-{
-    APIR_ASSERT(threads >= 1, "need at least one thread");
-    std::vector<std::atomic<uint32_t>> level(g.numVertices());
-    for (auto &l : level)
-        l.store(kInfDistance, std::memory_order_relaxed);
-    level[root].store(0, std::memory_order_relaxed);
-
-    std::vector<VertexId> frontier{root};
-    uint32_t depth = 0;
-    while (!frontier.empty()) {
-        ++depth;
-        std::vector<std::vector<VertexId>> next(threads);
-        auto work = [&](uint32_t tid) {
-            for (size_t i = tid; i < frontier.size(); i += threads) {
-                VertexId v = frontier[i];
-                for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                    VertexId u = g.edgeDst(e);
-                    uint32_t expect = kInfDistance;
-                    if (level[u].compare_exchange_strong(expect, depth))
-                        next[tid].push_back(u);
-                }
-            }
-        };
-        std::vector<std::thread> pool;
-        for (uint32_t t = 1; t < threads; ++t)
-            pool.emplace_back(work, t);
-        work(0);
-        for (auto &t : pool)
-            t.join();
-        frontier.clear();
-        for (auto &buf : next)
-            frontier.insert(frontier.end(), buf.begin(), buf.end());
-    }
-
-    std::vector<uint32_t> out(g.numVertices());
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        out[v] = level[v].load(std::memory_order_relaxed);
-    return out;
-}
-
-EmulatedRun
-bfsParallelEmulated(const CsrGraph &g, VertexId root,
-                    const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    std::vector<uint32_t> level(g.numVertices(), kInfDistance);
-    level[root] = 0;
-    std::vector<VertexId> frontier{root};
-    uint32_t depth = 0;
-    while (!frontier.empty()) {
-        ++depth;
-        emu.beginRound();
-        std::vector<VertexId> next;
-        for (VertexId v : frontier) {
-            for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                VertexId u = g.edgeDst(e);
-                if (level[u] == kInfDistance) {
-                    level[u] = depth;
-                    next.push_back(u);
-                }
-            }
-        }
-        emu.endRound(frontier.size());
-        frontier = std::move(next);
-    }
-    return {std::move(level), emu.emulatedSeconds()};
 }
 
 std::vector<uint32_t>

@@ -3,12 +3,9 @@
  * Breadth-first search, the paper's motivating benchmark, in all its
  * forms:
  *
- *  - bfsSequential():       the Figure 1(a) reference algorithm;
- *  - bfsParallelThreads():  level-synchronous std::thread version
- *                           (Leiserson-style, Fig. 9's 10-core
- *                           counterpart);
- *  - bfsParallelEmulated(): the same algorithm with per-round
- *                           multicore timing emulation (see cpumodel);
+ *  - bfsSequential():       the Figure 1(a) reference algorithm (Fig.
+ *                           9's native column; the Xeon columns come
+ *                           from cpumodel/xeon_model.hh);
  *  - buildSpecBfs():        SPEC-BFS accelerator (Section 4.2's
  *                           speculative rule, squash on conflicting
  *                           earlier writes);
@@ -31,7 +28,6 @@
 
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
-#include "cpumodel/multicore.hh"
 #include "apps/graph_mem.hh"
 #include "graph/csr.hh"
 
@@ -39,21 +35,6 @@ namespace apir {
 
 /** Sequential BFS (Figure 1(a)). */
 std::vector<uint32_t> bfsSequential(const CsrGraph &g, VertexId root);
-
-/** Level-synchronous parallel BFS with real threads. */
-std::vector<uint32_t> bfsParallelThreads(const CsrGraph &g, VertexId root,
-                                         uint32_t threads);
-
-/** Result of an emulated-multicore run. */
-struct EmulatedRun
-{
-    std::vector<uint32_t> values;
-    double seconds = 0.0;
-};
-
-/** Level-synchronous parallel BFS under multicore timing emulation. */
-EmulatedRun bfsParallelEmulated(const CsrGraph &g, VertexId root,
-                                const MulticoreConfig &cfg);
 
 /** A built accelerator application: spec + the image it references. */
 struct BfsAccel

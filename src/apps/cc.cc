@@ -1,8 +1,5 @@
 #include "apps/cc.hh"
 
-#include <atomic>
-#include <thread>
-
 #include "bdfg/builder.hh"
 #include "support/logging.hh"
 
@@ -49,81 +46,6 @@ countComponents(const std::vector<uint32_t> &labels)
         if (labels[v] == v)
             ++count;
     return count;
-}
-
-std::vector<uint32_t>
-ccParallelThreads(const CsrGraph &g, uint32_t threads)
-{
-    APIR_ASSERT(threads >= 1, "need at least one thread");
-    std::vector<std::atomic<uint32_t>> label(g.numVertices());
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        label[v].store(v, std::memory_order_relaxed);
-
-    std::vector<VertexId> frontier(g.numVertices());
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        frontier[v] = v;
-    while (!frontier.empty()) {
-        std::vector<std::vector<VertexId>> next(threads);
-        auto work = [&](uint32_t tid) {
-            for (size_t i = tid; i < frontier.size(); i += threads) {
-                VertexId v = frontier[i];
-                uint32_t lv = label[v].load(std::memory_order_relaxed);
-                for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                    VertexId u = g.edgeDst(e);
-                    uint32_t cur = label[u].load(std::memory_order_relaxed);
-                    while (lv < cur) {
-                        if (label[u].compare_exchange_weak(cur, lv)) {
-                            next[tid].push_back(u);
-                            break;
-                        }
-                    }
-                }
-            }
-        };
-        std::vector<std::thread> pool;
-        for (uint32_t t = 1; t < threads; ++t)
-            pool.emplace_back(work, t);
-        work(0);
-        for (auto &t : pool)
-            t.join();
-        frontier.clear();
-        for (auto &buf : next)
-            frontier.insert(frontier.end(), buf.begin(), buf.end());
-    }
-
-    std::vector<uint32_t> out(g.numVertices());
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        out[v] = label[v].load(std::memory_order_relaxed);
-    return out;
-}
-
-EmulatedRun
-ccParallelEmulated(const CsrGraph &g, const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    std::vector<uint32_t> label(g.numVertices());
-    std::vector<VertexId> frontier(g.numVertices());
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        label[v] = v;
-        frontier[v] = v;
-    }
-    while (!frontier.empty()) {
-        emu.beginRound();
-        std::vector<VertexId> next;
-        for (VertexId v : frontier) {
-            uint32_t lv = label[v];
-            for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                VertexId u = g.edgeDst(e);
-                if (lv < label[u]) {
-                    label[u] = lv;
-                    next.push_back(u);
-                }
-            }
-        }
-        emu.endRound(frontier.size());
-        frontier = std::move(next);
-    }
-    return {std::move(label), emu.emulatedSeconds()};
 }
 
 std::vector<uint32_t>

@@ -20,9 +20,7 @@
 
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
-#include "apps/bfs.hh" // EmulatedRun
 #include "apps/graph_mem.hh"
-#include "cpumodel/multicore.hh"
 #include "graph/csr.hh"
 
 namespace apir {
@@ -32,14 +30,6 @@ std::vector<uint32_t> ccSequential(const CsrGraph &g);
 
 /** Number of distinct components in a label array. */
 uint32_t countComponents(const std::vector<uint32_t> &labels);
-
-/** Round-synchronous label propagation with real threads. */
-std::vector<uint32_t> ccParallelThreads(const CsrGraph &g,
-                                        uint32_t threads);
-
-/** Round-synchronous label propagation under timing emulation. */
-EmulatedRun ccParallelEmulated(const CsrGraph &g,
-                               const MulticoreConfig &cfg);
 
 /** A built CC accelerator. */
 struct CcAccel

@@ -1,8 +1,6 @@
 #include "apps/dmr.hh"
 
 #include <algorithm>
-#include <deque>
-#include <thread>
 
 #include "bdfg/builder.hh"
 #include "support/logging.hh"
@@ -50,87 +48,6 @@ summarizeMesh(const Mesh &mesh, const RefineParams &params,
     res.remainingBad = static_cast<uint32_t>(
         findBadTriangles(mesh, params.minAngleRad, params.minArea).size());
     return res;
-}
-
-DmrResult
-dmrParallelThreads(Mesh &mesh, const RefineParams &params, uint32_t threads)
-{
-    APIR_ASSERT(threads >= 1, "need at least one thread");
-    uint64_t applied = 0;
-    std::deque<TriId> work;
-    for (TriId t : findBadTriangles(mesh, params.minAngleRad,
-                                    params.minArea))
-        work.push_back(t);
-
-    while (!work.empty()) {
-        // Round: snapshot a batch, compute cavities speculatively in
-        // parallel against the frozen mesh, then commit serially with
-        // revalidation (losers retry next round via newBad/requeue).
-        size_t n = std::min<size_t>(work.size(), 4 * threads);
-        std::vector<TriId> batch(work.begin(),
-                                 work.begin() + static_cast<long>(n));
-        work.erase(work.begin(), work.begin() + static_cast<long>(n));
-
-        std::vector<std::vector<TriId>> cavities(n);
-        auto speculate = [&](uint32_t tid) {
-            for (size_t i = tid; i < n; i += threads)
-                cavities[i] = refinementCavity(mesh, batch[i], params);
-        };
-        std::vector<std::thread> pool;
-        for (uint32_t t = 1; t < threads; ++t)
-            pool.emplace_back(speculate, t);
-        speculate(0);
-        for (auto &t : pool)
-            t.join();
-
-        for (size_t i = 0; i < n; ++i) {
-            auto res = refineTriangle(mesh, batch[i], params);
-            if (res.applied) {
-                ++applied;
-                for (TriId nb : res.newBad)
-                    work.push_back(nb);
-            }
-        }
-    }
-    return summarizeMesh(mesh, params, applied);
-}
-
-DmrEmulatedRun
-dmrParallelEmulated(Mesh &mesh, const RefineParams &params,
-                    const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    uint64_t applied = 0;
-    std::deque<TriId> work;
-    for (TriId t : findBadTriangles(mesh, params.minAngleRad,
-                                    params.minArea))
-        work.push_back(t);
-
-    while (!work.empty()) {
-        size_t n = std::min<size_t>(work.size(),
-                                    4ull * cfg.cores);
-        std::vector<TriId> batch(work.begin(),
-                                 work.begin() + static_cast<long>(n));
-        work.erase(work.begin(), work.begin() + static_cast<long>(n));
-
-        emu.beginRound();
-        std::vector<std::vector<TriId>> cavities(n);
-        for (size_t i = 0; i < n; ++i)
-            cavities[i] = refinementCavity(mesh, batch[i], params);
-        emu.endRound(n);
-
-        emu.beginRound();
-        for (size_t i = 0; i < n; ++i) {
-            auto res = refineTriangle(mesh, batch[i], params);
-            if (res.applied) {
-                ++applied;
-                for (TriId nb : res.newBad)
-                    work.push_back(nb);
-            }
-        }
-        emu.endRound(1); // serial commit sweep
-    }
-    return {summarizeMesh(mesh, params, applied), emu.emulatedSeconds()};
 }
 
 DmrAccel

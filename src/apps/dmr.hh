@@ -19,7 +19,6 @@
 
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
-#include "cpumodel/multicore.hh"
 #include "geometry/refine.hh"
 #include "mem/memsys.hh"
 
@@ -35,19 +34,6 @@ struct DmrResult
 
 /** Sequential FIFO-worklist refinement (geometry/refine.hh). */
 DmrResult dmrSequential(Mesh &mesh, const RefineParams &params);
-
-/** Round-based speculative refinement with real threads. */
-DmrResult dmrParallelThreads(Mesh &mesh, const RefineParams &params,
-                             uint32_t threads);
-
-/** The same algorithm under multicore timing emulation. */
-struct DmrEmulatedRun
-{
-    DmrResult result;
-    double seconds = 0.0;
-};
-DmrEmulatedRun dmrParallelEmulated(Mesh &mesh, const RefineParams &params,
-                                   const MulticoreConfig &cfg);
 
 /** Functional state shared with the accelerator pipelines. */
 struct DmrState

@@ -1,7 +1,5 @@
 #include "apps/lu.hh"
 
-#include <thread>
-
 #include "bdfg/builder.hh"
 #include "support/logging.hh"
 
@@ -98,121 +96,6 @@ applyBlockOp(LuState &s, Word type, uint32_t k, uint32_t i, uint32_t j)
 }
 
 } // namespace
-
-LuOpCounts
-luParallelThreads(BlockSparseMatrix &a, uint32_t threads)
-{
-    APIR_ASSERT(threads >= 1, "need at least one thread");
-    LuOpCounts ops;
-    const uint32_t n = a.numBlockRows();
-    for (uint32_t k = 0; k < n; ++k) {
-        luFactor(a.block(k, k));
-        ++ops.factor;
-
-        std::vector<std::array<uint32_t, 3>> trsms; // {row?, i, j}
-        for (uint32_t j = k + 1; j < n; ++j)
-            if (a.present(k, j))
-                trsms.push_back({1, k, j});
-        for (uint32_t i = k + 1; i < n; ++i)
-            if (a.present(i, k))
-                trsms.push_back({0, i, k});
-        auto trsm_work = [&](uint32_t tid) {
-            for (size_t x = tid; x < trsms.size(); x += threads) {
-                auto [row, i, j] = trsms[x];
-                if (row)
-                    trsmLowerLeft(a.block(k, k), a.block(k, j));
-                else
-                    trsmUpperRight(a.block(k, k), a.block(i, k));
-            }
-        };
-        {
-            std::vector<std::thread> pool;
-            for (uint32_t t = 1; t < threads; ++t)
-                pool.emplace_back(trsm_work, t);
-            trsm_work(0);
-            for (auto &t : pool)
-                t.join();
-        }
-        ops.trsm += trsms.size();
-
-        // Pre-create fill blocks serially (map insertion is not
-        // thread-safe), then update them in parallel.
-        std::vector<std::array<uint32_t, 2>> gemms;
-        for (uint32_t i = k + 1; i < n; ++i) {
-            if (!a.present(i, k))
-                continue;
-            for (uint32_t j = k + 1; j < n; ++j) {
-                if (!a.present(k, j))
-                    continue;
-                a.block(i, j);
-                gemms.push_back({i, j});
-            }
-        }
-        auto gemm_work = [&](uint32_t tid) {
-            for (size_t x = tid; x < gemms.size(); x += threads) {
-                auto [i, j] = gemms[x];
-                gemmMinus(a.block(i, k), a.block(k, j), a.block(i, j));
-            }
-        };
-        {
-            std::vector<std::thread> pool;
-            for (uint32_t t = 1; t < threads; ++t)
-                pool.emplace_back(gemm_work, t);
-            gemm_work(0);
-            for (auto &t : pool)
-                t.join();
-        }
-        ops.gemm += gemms.size();
-    }
-    return ops;
-}
-
-LuEmulatedRun
-luParallelEmulated(BlockSparseMatrix &a, const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    LuOpCounts ops;
-    const uint32_t n = a.numBlockRows();
-    for (uint32_t k = 0; k < n; ++k) {
-        emu.beginRound();
-        luFactor(a.block(k, k));
-        ++ops.factor;
-        emu.endRound(1);
-
-        emu.beginRound();
-        uint64_t trsms = 0;
-        for (uint32_t j = k + 1; j < n; ++j) {
-            if (a.present(k, j)) {
-                trsmLowerLeft(a.block(k, k), a.block(k, j));
-                ++trsms;
-            }
-        }
-        for (uint32_t i = k + 1; i < n; ++i) {
-            if (a.present(i, k)) {
-                trsmUpperRight(a.block(k, k), a.block(i, k));
-                ++trsms;
-            }
-        }
-        emu.endRound(trsms);
-        ops.trsm += trsms;
-
-        emu.beginRound();
-        uint64_t gemms = 0;
-        for (uint32_t i = k + 1; i < n; ++i) {
-            if (!a.present(i, k))
-                continue;
-            for (uint32_t j = k + 1; j < n; ++j) {
-                if (!a.present(k, j))
-                    continue;
-                gemmMinus(a.block(i, k), a.block(k, j), a.block(i, j));
-                ++gemms;
-            }
-        }
-        emu.endRound(gemms);
-        ops.gemm += gemms;
-    }
-    return {ops, emu.emulatedSeconds()};
-}
 
 LuAccel
 buildCoorLu(BlockSparseMatrix a, MemorySystem &mem)

@@ -18,7 +18,6 @@
 
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
-#include "cpumodel/multicore.hh"
 #include "mem/memsys.hh"
 #include "sparse/block_sparse.hh"
 
@@ -31,18 +30,6 @@ enum LuOpType : Word {
     kLuTrsmCol = 2, //!< solve down block column k (below diagonal)
     kLuGemm = 3,
 };
-
-/** Parallel wave LU with real threads; factors `a` in place. */
-LuOpCounts luParallelThreads(BlockSparseMatrix &a, uint32_t threads);
-
-/** The same wave algorithm under multicore timing emulation. */
-struct LuEmulatedRun
-{
-    LuOpCounts ops;
-    double seconds = 0.0;
-};
-LuEmulatedRun luParallelEmulated(BlockSparseMatrix &a,
-                                 const MulticoreConfig &cfg);
 
 /** Functional state shared with the accelerator pipelines. */
 struct LuState

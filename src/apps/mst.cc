@@ -1,7 +1,6 @@
 #include "apps/mst.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "bdfg/builder.hh"
 #include "support/logging.hh"
@@ -48,15 +47,6 @@ findRoot(std::vector<uint32_t> &parent, uint32_t x)
     return x;
 }
 
-/** Read-only find (safe to run concurrently with other finds). */
-uint32_t
-findRootConst(const std::vector<uint32_t> &parent, uint32_t x)
-{
-    while (parent[x] != x)
-        x = parent[x];
-    return x;
-}
-
 } // namespace
 
 MstResult
@@ -77,91 +67,6 @@ mstSequential(const CsrGraph &g)
         }
     }
     return res;
-}
-
-MstResult
-mstParallelThreads(const CsrGraph &g, uint32_t threads, uint32_t batch)
-{
-    APIR_ASSERT(threads >= 1 && batch >= 1, "bad parameters");
-    auto edges = sortedEdges(g);
-    std::vector<uint32_t> parent(g.numVertices());
-    for (uint32_t v = 0; v < g.numVertices(); ++v)
-        parent[v] = v;
-    MstResult res;
-
-    for (size_t base = 0; base < edges.size(); base += batch) {
-        size_t n = std::min<size_t>(batch, edges.size() - base);
-        // Parallel speculative finds (read-only, so no races).
-        std::vector<std::pair<uint32_t, uint32_t>> roots(n);
-        auto work = [&](uint32_t tid) {
-            for (size_t i = tid; i < n; i += threads) {
-                const SortedEdge &e = edges[base + i];
-                roots[i] = {findRootConst(parent, e.a),
-                            findRootConst(parent, e.b)};
-            }
-        };
-        std::vector<std::thread> pool;
-        for (uint32_t t = 1; t < threads; ++t)
-            pool.emplace_back(work, t);
-        work(0);
-        for (auto &t : pool)
-            t.join();
-        // Serial in-order commit; stale finds are redone.
-        for (size_t i = 0; i < n; ++i) {
-            const SortedEdge &e = edges[base + i];
-            uint32_t ra = roots[i].first, rb = roots[i].second;
-            if (parent[ra] != ra || parent[rb] != rb) {
-                ra = findRoot(parent, e.a);
-                rb = findRoot(parent, e.b);
-            }
-            if (ra != rb) {
-                parent[ra] = rb;
-                res.totalWeight += e.w;
-                ++res.edgesInTree;
-            }
-        }
-    }
-    return res;
-}
-
-MstEmulatedRun
-mstParallelEmulated(const CsrGraph &g, const MulticoreConfig &cfg,
-                    uint32_t batch)
-{
-    MulticoreEmulator emu(cfg);
-    auto edges = sortedEdges(g);
-    std::vector<uint32_t> parent(g.numVertices());
-    for (uint32_t v = 0; v < g.numVertices(); ++v)
-        parent[v] = v;
-    MstResult res;
-
-    for (size_t base = 0; base < edges.size(); base += batch) {
-        size_t n = std::min<size_t>(batch, edges.size() - base);
-        emu.beginRound();
-        std::vector<std::pair<uint32_t, uint32_t>> roots(n);
-        for (size_t i = 0; i < n; ++i) {
-            const SortedEdge &e = edges[base + i];
-            roots[i] = {findRootConst(parent, e.a),
-                        findRootConst(parent, e.b)};
-        }
-        emu.endRound(n);
-        emu.beginRound();
-        for (size_t i = 0; i < n; ++i) {
-            const SortedEdge &e = edges[base + i];
-            uint32_t ra = roots[i].first, rb = roots[i].second;
-            if (parent[ra] != ra || parent[rb] != rb) {
-                ra = findRoot(parent, e.a);
-                rb = findRoot(parent, e.b);
-            }
-            if (ra != rb) {
-                parent[ra] = rb;
-                res.totalWeight += e.w;
-                ++res.edgesInTree;
-            }
-        }
-        emu.endRound(1); // the commit sweep is serial
-    }
-    return {res, emu.emulatedSeconds()};
 }
 
 MstAccel

@@ -17,8 +17,6 @@
 
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
-#include "apps/bfs.hh" // EmulatedRun
-#include "cpumodel/multicore.hh"
 #include "graph/csr.hh"
 #include "mem/memsys.hh"
 
@@ -33,20 +31,6 @@ struct MstResult
 
 /** Sequential Kruskal reference. */
 MstResult mstSequential(const CsrGraph &g);
-
-/** Batched speculative Kruskal with real threads. */
-MstResult mstParallelThreads(const CsrGraph &g, uint32_t threads,
-                             uint32_t batch = 64);
-
-/** Emulated-multicore timing of the batched algorithm. */
-struct MstEmulatedRun
-{
-    MstResult result;
-    double seconds = 0.0;
-};
-MstEmulatedRun mstParallelEmulated(const CsrGraph &g,
-                                   const MulticoreConfig &cfg,
-                                   uint32_t batch = 64);
 
 /** Functional union-find + commit ticket shared with the pipelines. */
 struct MstState

@@ -1,8 +1,6 @@
 #include "apps/sssp.hh"
 
-#include <atomic>
 #include <queue>
-#include <thread>
 
 #include "bdfg/builder.hh"
 #include "support/logging.hh"
@@ -39,80 +37,6 @@ ssspSequential(const CsrGraph &g, VertexId root)
         }
     }
     return dist;
-}
-
-std::vector<uint32_t>
-ssspParallelThreads(const CsrGraph &g, VertexId root, uint32_t threads)
-{
-    APIR_ASSERT(threads >= 1, "need at least one thread");
-    std::vector<std::atomic<uint32_t>> dist(g.numVertices());
-    for (auto &d : dist)
-        d.store(kInfDistance, std::memory_order_relaxed);
-    dist[root].store(0, std::memory_order_relaxed);
-
-    std::vector<VertexId> frontier{root};
-    while (!frontier.empty()) {
-        std::vector<std::vector<VertexId>> next(threads);
-        auto work = [&](uint32_t tid) {
-            for (size_t i = tid; i < frontier.size(); i += threads) {
-                VertexId v = frontier[i];
-                uint32_t dv = dist[v].load(std::memory_order_relaxed);
-                for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                    VertexId u = g.edgeDst(e);
-                    uint32_t nd = dv + g.edgeWeight(e);
-                    uint32_t cur = dist[u].load(std::memory_order_relaxed);
-                    while (nd < cur) {
-                        if (dist[u].compare_exchange_weak(cur, nd)) {
-                            next[tid].push_back(u);
-                            break;
-                        }
-                    }
-                }
-            }
-        };
-        std::vector<std::thread> pool;
-        for (uint32_t t = 1; t < threads; ++t)
-            pool.emplace_back(work, t);
-        work(0);
-        for (auto &t : pool)
-            t.join();
-        frontier.clear();
-        for (auto &buf : next)
-            frontier.insert(frontier.end(), buf.begin(), buf.end());
-    }
-
-    std::vector<uint32_t> out(g.numVertices());
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        out[v] = dist[v].load(std::memory_order_relaxed);
-    return out;
-}
-
-EmulatedRun
-ssspParallelEmulated(const CsrGraph &g, VertexId root,
-                     const MulticoreConfig &cfg)
-{
-    MulticoreEmulator emu(cfg);
-    std::vector<uint32_t> dist(g.numVertices(), kInfDistance);
-    dist[root] = 0;
-    std::vector<VertexId> frontier{root};
-    while (!frontier.empty()) {
-        emu.beginRound();
-        std::vector<VertexId> next;
-        for (VertexId v : frontier) {
-            uint32_t dv = dist[v];
-            for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
-                VertexId u = g.edgeDst(e);
-                uint32_t nd = dv + g.edgeWeight(e);
-                if (nd < dist[u]) {
-                    dist[u] = nd;
-                    next.push_back(u);
-                }
-            }
-        }
-        emu.endRound(frontier.size());
-        frontier = std::move(next);
-    }
-    return {std::move(dist), emu.emulatedSeconds()};
 }
 
 std::vector<uint32_t>

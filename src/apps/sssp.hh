@@ -18,23 +18,13 @@
 
 #include "compile/accel_spec.hh"
 #include "core/app_spec.hh"
-#include "apps/bfs.hh" // EmulatedRun
 #include "apps/graph_mem.hh"
-#include "cpumodel/multicore.hh"
 #include "graph/csr.hh"
 
 namespace apir {
 
 /** Dijkstra reference distances. */
 std::vector<uint32_t> ssspSequential(const CsrGraph &g, VertexId root);
-
-/** Round-synchronous Bellman-Ford with real threads. */
-std::vector<uint32_t> ssspParallelThreads(const CsrGraph &g, VertexId root,
-                                          uint32_t threads);
-
-/** Round-synchronous Bellman-Ford under multicore timing emulation. */
-EmulatedRun ssspParallelEmulated(const CsrGraph &g, VertexId root,
-                                 const MulticoreConfig &cfg);
 
 /** A built SSSP accelerator. */
 struct SsspAccel

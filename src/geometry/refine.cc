@@ -6,6 +6,12 @@
 
 namespace apir {
 
+namespace {
+
+/**
+ * The cavity the refinement of t would consume; empty when t is
+ * stale, not bad, or its circumcenter falls outside the domain.
+ */
 std::vector<TriId>
 refinementCavity(const Mesh &mesh, TriId t, const RefineParams &params)
 {
@@ -20,6 +26,8 @@ refinementCavity(const Mesh &mesh, TriId t, const RefineParams &params)
         return {};
     return mesh.cavity(cc, t);
 }
+
+} // namespace
 
 RefineResult
 refineTriangle(Mesh &mesh, TriId t, const RefineParams &params)

@@ -32,14 +32,6 @@ struct RefineParams
     double minArea = 2e-7;         //!< area floor guaranteeing termination
 };
 
-/**
- * Compute (without applying) the cavity the refinement of t would
- * consume. Returns an empty vector when t is stale, not bad, or its
- * circumcenter falls outside the domain.
- */
-std::vector<TriId> refinementCavity(const Mesh &mesh, TriId t,
-                                    const RefineParams &params);
-
 /** Refine bad triangle t in place. */
 RefineResult refineTriangle(Mesh &mesh, TriId t, const RefineParams &params);
 

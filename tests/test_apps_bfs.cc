@@ -1,9 +1,9 @@
 /**
  * @file
- * BFS benchmark tests: algorithm implementations agree across
- * sequential / threaded / emulated forms, and the generated
- * accelerators stay correct across template-parameter sweeps
- * (pipelines, lanes, banks, LSU order, bandwidth).
+ * BFS benchmark tests: the sequential reference on hand-checked
+ * graphs and against a relaxation oracle, and the generated accelerators stay correct across
+ * template-parameter sweeps (pipelines, lanes, banks, LSU order,
+ * bandwidth).
  */
 
 #include <gtest/gtest.h>
@@ -38,37 +38,57 @@ TEST(BfsAlgo, UnreachableStaysInf)
     EXPECT_EQ(lvl[2], kInfDistance);
 }
 
-TEST(BfsAlgo, ThreadsMatchSequential)
+/** The graphs the BFS and SSSP oracle sweeps run on, by name. */
+CsrGraph
+oracleGraph(const std::string &name)
 {
-    CsrGraph g = roadNetwork(10, 30, 0.08, 0.05, 50, 3);
-    auto ref = bfsSequential(g, 0);
-    EXPECT_EQ(bfsParallelThreads(g, 0, 1), ref);
-    EXPECT_EQ(bfsParallelThreads(g, 0, 4), ref);
+    if (name == "road")
+        return roadNetwork(10, 30, 0.08, 0.05, 50, 3);
+    if (name == "rmat")
+        return rmatGraph(11, 8, 0.57, 0.19, 0.19, 10, 5);
+    return uniformGraph(150, 2, 1000, 9); // sparse: some unreached
 }
 
-TEST(BfsAlgo, EmulatedMatchesSequentialAndTimesRounds)
+class BfsOracleSweep : public ::testing::TestWithParam<std::string>
 {
-    CsrGraph g = roadNetwork(10, 30, 0.08, 0.05, 50, 3);
-    auto ref = bfsSequential(g, 0);
-    MulticoreConfig cfg;
-    auto run = bfsParallelEmulated(g, 0, cfg);
-    EXPECT_EQ(run.values, ref);
-    EXPECT_GT(run.seconds, 0.0);
+};
+
+/**
+ * The reference against an independent oracle: relax every arc with
+ * unit weight until nothing changes (Bellman-Ford), which reaches the
+ * hop-count fixed point a level-ordered queue must also produce.
+ */
+TEST_P(BfsOracleSweep, LevelsAreShortestHopCounts)
+{
+    CsrGraph g = oracleGraph(GetParam());
+    std::vector<uint32_t> oracle(g.numVertices(), kInfDistance);
+    oracle[0] = 0;
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (VertexId v = 0; v < g.numVertices(); ++v) {
+            if (oracle[v] == kInfDistance)
+                continue;
+            for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
+                VertexId u = g.edgeDst(e);
+                if (oracle[v] + 1 < oracle[u]) {
+                    oracle[u] = oracle[v] + 1;
+                    changed = true;
+                }
+            }
+        }
+    }
+    auto lvl = bfsSequential(g, 0);
+    EXPECT_EQ(lvl, oracle);
+    auto reached = std::count_if(lvl.begin(), lvl.end(), [](uint32_t l) {
+        return l != kInfDistance;
+    });
+    EXPECT_EQ(static_cast<VertexId>(reached), g.reachableFrom(0));
 }
 
-TEST(BfsAlgo, EmulatedFasterWithMoreCores)
-{
-    CsrGraph g = rmatGraph(11, 8, 0.57, 0.19, 0.19, 10, 5);
-    MulticoreConfig one;
-    one.cores = 1;
-    one.barrierSeconds = 0.0;
-    MulticoreConfig ten;
-    ten.cores = 10;
-    ten.barrierSeconds = 0.0;
-    double t1 = bfsParallelEmulated(g, 0, one).seconds;
-    double t10 = bfsParallelEmulated(g, 0, ten).seconds;
-    EXPECT_LT(t10, t1);
-}
+INSTANTIATE_TEST_SUITE_P(Graphs, BfsOracleSweep,
+                         ::testing::Values("road", "rmat", "uniform"),
+                         [](const ::testing::TestParamInfo<std::string>
+                                &info) { return info.param; });
 
 /** Accelerator correctness across template parameters. */
 struct CfgCase

@@ -1,12 +1,13 @@
 /**
  * @file
  * Connected-components tests (the generality extension): reference
- * against hand-built graphs, parallel agreement, accelerator
- * correctness across configurations, and AppSpec/executor
- * equivalence.
+ * against hand-built graphs and a union-find oracle, accelerator correctness across
+ * configurations, and AppSpec/executor equivalence.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "apps/cc.hh"
 #include "core/parallel_executor.hh"
@@ -58,17 +59,44 @@ TEST(CcAlgo, ConnectedRoadNetworkHasOneComponent)
         EXPECT_EQ(l, 0u);
 }
 
-TEST(CcAlgo, ThreadsAndEmulationMatchSequential)
+class CcOracleSweep : public ::testing::TestWithParam<uint64_t>
 {
-    // Disconnected-ish random digraph made undirected by the CC
-    // semantics? No: CC expects undirected input; use road pieces.
-    CsrGraph g = twoTrianglesAndAnIsland();
-    auto ref = ccSequential(g);
-    EXPECT_EQ(ccParallelThreads(g, 4), ref);
-    auto emu = ccParallelEmulated(g, MulticoreConfig{});
-    EXPECT_EQ(emu.values, ref);
-    EXPECT_GT(emu.seconds, 0.0);
+};
+
+/**
+ * The reference against an independent oracle: union-find over every
+ * arc, each vertex labelled with the least id in its set. The road
+ * networks lose 40% of their lattice edges, so they fall apart.
+ */
+TEST_P(CcOracleSweep, LabelsMatchUnionFind)
+{
+    CsrGraph g = roadNetwork(8, 9, 0.4, 0.0, 10, GetParam());
+    std::vector<uint32_t> parent(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        parent[v] = v;
+    auto find = [&](uint32_t x) {
+        while (parent[x] != x)
+            x = parent[x];
+        return x;
+    };
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
+            // Link the larger root under the smaller: a root is then
+            // the least id of its set.
+            uint32_t a = find(v), b = find(g.edgeDst(e));
+            parent[std::max(a, b)] = std::min(a, b);
+        }
+    std::vector<uint32_t> oracle(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        oracle[v] = find(v);
+
+    auto labels = ccSequential(g);
+    EXPECT_EQ(labels, oracle);
+    EXPECT_GT(countComponents(labels), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CcOracleSweep,
+                         ::testing::Values(2, 9, 31));
 
 class CcAccelSweep : public ::testing::TestWithParam<uint32_t>
 {

@@ -1,11 +1,13 @@
 /**
  * @file
- * DMR benchmark tests: parallel variants terminate with a quality
- * mesh, and the SPEC-DMR accelerator refines to completion with a
+ * DMR benchmark tests: sequential refinement terminates with a
+ * quality Delaunay mesh covering the same area, and the SPEC-DMR accelerator refines to completion with a
  * structurally consistent mesh across configurations.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "apps/dmr.hh"
 #include "core/parallel_executor.hh"
@@ -27,24 +29,6 @@ TEST(DmrAlgo, SequentialTerminatesWithQualityMesh)
     mesh.checkConsistency();
 }
 
-TEST(DmrAlgo, ThreadsTerminateWithQualityMesh)
-{
-    RefineParams params;
-    Mesh mesh = randomDelaunayMesh(80, 5);
-    DmrResult r = dmrParallelThreads(mesh, params, 4);
-    EXPECT_EQ(r.remainingBad, 0u);
-    mesh.checkConsistency();
-}
-
-TEST(DmrAlgo, EmulatedTerminatesAndTimes)
-{
-    RefineParams params;
-    Mesh mesh = randomDelaunayMesh(80, 5);
-    auto run = dmrParallelEmulated(mesh, params, MulticoreConfig{});
-    EXPECT_EQ(run.result.remainingBad, 0u);
-    EXPECT_GT(run.seconds, 0.0);
-}
-
 TEST(DmrAlgo, RefinementImprovesQuality)
 {
     RefineParams params;
@@ -57,6 +41,55 @@ TEST(DmrAlgo, RefinementImprovesQuality)
     EXPECT_LE(after, before);
     EXPECT_EQ(after, 0u);
 }
+
+/** Total area of the alive triangles. */
+double
+meshArea(const Mesh &mesh)
+{
+    double area = 0.0;
+    for (TriId t = 0; t < mesh.triangles().size(); ++t) {
+        if (!mesh.alive(t))
+            continue;
+        const Triangle &tri = mesh.triangle(t);
+        area += std::fabs(orient2d(mesh.point(tri.v[0]),
+                                   mesh.point(tri.v[1]),
+                                   mesh.point(tri.v[2]))) / 2.0;
+    }
+    return area;
+}
+
+class DmrOracleSweep : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+/**
+ * Invariants of the sequential refinement that no count of it can
+ * show: the result is still a Delaunay triangulation of the same
+ * region, with no bad triangle left, and summarizeMesh re-derives
+ * the returned result from the mesh alone.
+ */
+TEST_P(DmrOracleSweep, RefinedMeshIsDelaunayOverTheSameArea)
+{
+    RefineParams params;
+    Mesh mesh = randomDelaunayMesh(80, GetParam());
+    double before = meshArea(mesh);
+    DmrResult r = dmrSequential(mesh, params);
+
+    mesh.checkConsistency();
+    EXPECT_TRUE(mesh.isDelaunay());
+    EXPECT_GT(r.refinements, 0u);
+    EXPECT_NEAR(meshArea(mesh), before, 1e-9 * before);
+    EXPECT_TRUE(
+        findBadTriangles(mesh, params.minAngleRad, params.minArea).empty());
+    DmrResult again = summarizeMesh(mesh, params, r.refinements);
+    EXPECT_EQ(again.refinements, r.refinements);
+    EXPECT_EQ(again.aliveTriangles, r.aliveTriangles);
+    EXPECT_EQ(again.aliveTriangles, mesh.numAliveTriangles());
+    EXPECT_EQ(again.remainingBad, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DmrOracleSweep,
+                         ::testing::Values(5, 19, 23));
 
 class DmrAccelSweep
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t,

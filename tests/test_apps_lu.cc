@@ -1,12 +1,15 @@
 /**
  * @file
- * LU benchmark tests: parallel wave implementations agree with the
- * sequential factorization bit-for-bit (same operation order within
- * rounding), and the COOR-LU accelerator factors correctly across
+ * LU benchmark tests: the sequential factorization fills in sparse
+ * inputs and matches an unblocked dense LU, and the COOR-LU accelerator factors correctly across
  * configurations and sparsity levels.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "apps/lu.hh"
 #include "core/parallel_executor.hh"
@@ -18,28 +21,6 @@
 namespace apir {
 namespace {
 
-TEST(LuAlgo, ThreadsMatchSequential)
-{
-    BlockSparseMatrix a = randomBlockSparse(6, 8, 0.3, 5);
-    BlockSparseMatrix ref = a;
-    LuOpCounts ref_ops = sparseLuSequential(ref);
-
-    LuOpCounts ops = luParallelThreads(a, 4);
-    EXPECT_EQ(ops.total(), ref_ops.total());
-    EXPECT_LT(a.maxDiff(ref), 1e-10);
-}
-
-TEST(LuAlgo, EmulatedMatchesSequential)
-{
-    BlockSparseMatrix a = randomBlockSparse(6, 8, 0.3, 5);
-    BlockSparseMatrix ref = a;
-    sparseLuSequential(ref);
-
-    auto run = luParallelEmulated(a, MulticoreConfig{});
-    EXPECT_LT(a.maxDiff(ref), 1e-10);
-    EXPECT_GT(run.seconds, 0.0);
-}
-
 TEST(LuAlgo, FillInHappensOnSparseInputs)
 {
     BlockSparseMatrix a = randomBlockSparse(8, 4, 0.25, 7);
@@ -47,6 +28,61 @@ TEST(LuAlgo, FillInHappensOnSparseInputs)
     sparseLuSequential(a);
     EXPECT_GT(a.numBlocks(), before); // gemm created fill blocks
 }
+
+/** The matrix as a dense row-major array; absent blocks are zero. */
+std::vector<double>
+densify(const BlockSparseMatrix &a)
+{
+    const uint32_t bs = a.blockSize();
+    const uint32_t n = a.numBlockRows() * bs;
+    std::vector<double> d(static_cast<size_t>(n) * n, 0.0);
+    for (auto [bi, bj] : a.structure())
+        for (uint32_t r = 0; r < bs; ++r)
+            for (uint32_t c = 0; c < bs; ++c)
+                d[(bi * bs + r) * n + bj * bs + c] = a.block(bi, bj).at(r, c);
+    return d;
+}
+
+class LuOracleSweep
+    : public ::testing::TestWithParam<
+          std::tuple<uint32_t, uint32_t, double, uint64_t>>
+{
+};
+
+/**
+ * The blocked right-looking factorization against an independent
+ * oracle: unblocked Doolittle LU (no pivoting) of the same matrix made
+ * dense. The LU factors of a nonsingular matrix are unique, so the
+ * in-place L\U must agree entry by entry, fill-in and zeros included.
+ */
+TEST_P(LuOracleSweep, BlockedFactorsMatchDenseLu)
+{
+    auto [nb, bs, density, seed] = GetParam();
+    BlockSparseMatrix a = randomBlockSparse(nb, bs, density, seed);
+    std::vector<double> oracle = densify(a);
+    const uint32_t n = nb * bs;
+    for (uint32_t k = 0; k < n; ++k)
+        for (uint32_t i = k + 1; i < n; ++i) {
+            double l = oracle[i * n + k] / oracle[k * n + k];
+            oracle[i * n + k] = l;
+            for (uint32_t j = k + 1; j < n; ++j)
+                oracle[i * n + j] -= l * oracle[k * n + j];
+        }
+
+    LuOpCounts ops = sparseLuSequential(a);
+    EXPECT_EQ(ops.factor, nb);
+    std::vector<double> got = densify(a);
+    double worst = 0.0;
+    for (size_t i = 0; i < got.size(); ++i)
+        worst = std::max(worst, std::fabs(got[i] - oracle[i]));
+    EXPECT_LT(worst, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LuOracleSweep,
+    ::testing::Values(std::make_tuple(6u, 8u, 0.3, 5u),
+                      std::make_tuple(8u, 4u, 0.25, 7u),
+                      std::make_tuple(5u, 4u, 1.0, 3u))); // dense
 
 class LuAccelSweep
     : public ::testing::TestWithParam<

@@ -1,10 +1,14 @@
 /**
  * @file
- * SSSP benchmark tests: Dijkstra reference vs Bellman-Ford variants,
- * and SPEC-SSSP accelerator correctness across configurations.
+ * SSSP benchmark tests: Dijkstra reference on hand-checked graphs
+ * and against Bellman-Ford, and SPEC-SSSP accelerator correctness
+ * across configurations.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
 
 #include "apps/sssp.hh"
 #include "graph/generators.hh"
@@ -34,22 +38,58 @@ TEST(SsspAlgo, UnreachableStaysInf)
     EXPECT_EQ(d[2], kInfDistance);
 }
 
-TEST(SsspAlgo, ThreadsMatchDijkstra)
+/** The graphs the oracle sweep runs on, by name. */
+CsrGraph
+oracleGraph(const std::string &name)
 {
-    CsrGraph g = roadNetwork(10, 20, 0.08, 0.05, 100, 5);
-    auto ref = ssspSequential(g, 0);
-    EXPECT_EQ(ssspParallelThreads(g, 0, 1), ref);
-    EXPECT_EQ(ssspParallelThreads(g, 0, 4), ref);
+    if (name == "road")
+        return roadNetwork(10, 20, 0.08, 0.05, 100, 5);
+    if (name == "rmat")
+        return rmatGraph(9, 5, 0.57, 0.19, 0.19, 30, 7);
+    return uniformGraph(150, 2, 1000, 2); // sparse: some unreached
 }
 
-TEST(SsspAlgo, EmulatedMatchesDijkstra)
+class SsspOracleSweep : public ::testing::TestWithParam<std::string>
 {
-    CsrGraph g = rmatGraph(9, 5, 0.57, 0.19, 0.19, 30, 7);
-    auto ref = ssspSequential(g, 0);
-    auto run = ssspParallelEmulated(g, 0, MulticoreConfig{});
-    EXPECT_EQ(run.values, ref);
-    EXPECT_GT(run.seconds, 0.0);
+};
+
+/**
+ * Dijkstra against an independent oracle: Bellman-Ford, relaxing
+ * every arc with 64-bit sums until nothing changes.
+ */
+TEST_P(SsspOracleSweep, DijkstraMatchesBellmanFord)
+{
+    CsrGraph g = oracleGraph(GetParam());
+    const uint64_t inf = std::numeric_limits<uint64_t>::max();
+    std::vector<uint64_t> dist(g.numVertices(), inf);
+    dist[0] = 0;
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (VertexId v = 0; v < g.numVertices(); ++v) {
+            if (dist[v] == inf)
+                continue;
+            for (EdgeId e = g.rowBegin(v); e < g.rowEnd(v); ++e) {
+                uint64_t d = dist[v] + g.edgeWeight(e);
+                if (d < dist[g.edgeDst(e)]) {
+                    dist[g.edgeDst(e)] = d;
+                    changed = true;
+                }
+            }
+        }
+    }
+    std::vector<uint32_t> oracle(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v) {
+        ASSERT_TRUE(dist[v] == inf || dist[v] < kInfDistance);
+        oracle[v] = dist[v] == inf ? kInfDistance
+                                   : static_cast<uint32_t>(dist[v]);
+    }
+    EXPECT_EQ(ssspSequential(g, 0), oracle);
 }
+
+INSTANTIATE_TEST_SUITE_P(Graphs, SsspOracleSweep,
+                         ::testing::Values("road", "rmat", "uniform"),
+                         [](const ::testing::TestParamInfo<std::string>
+                                &info) { return info.param; });
 
 class SsspAccelSweep
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, bool>>

@@ -1,88 +1,15 @@
 /**
  * @file
- * Tests of the CPU-side models: the multicore round emulator and the
- * Xeon roofline timing model (monotonicity, Amdahl behaviour,
- * bandwidth saturation).
+ * Tests of the CPU-side model: the Xeon roofline timing model
+ * (monotonicity, Amdahl behaviour, bandwidth saturation).
  */
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
-#include "cpumodel/multicore.hh"
 #include "cpumodel/xeon_model.hh"
 
 namespace apir {
 namespace {
-
-// ------------------------------------------------------ MulticoreEmulator
-
-TEST(Multicore, RoundsSpeedUpWithTasks)
-{
-    MulticoreConfig cfg;
-    cfg.cores = 8;
-    cfg.barrierSeconds = 0.0;
-    MulticoreEmulator emu(cfg);
-
-    auto spin = [] {
-        volatile double x = 0;
-        for (int i = 0; i < 200000; ++i)
-            x += i;
-    };
-    emu.beginRound();
-    spin();
-    emu.endRound(1); // serial round: no speedup
-    double after_serial = emu.emulatedSeconds();
-
-    emu.beginRound();
-    spin();
-    emu.endRound(64); // wide round: ~8x
-    double wide_round = emu.emulatedSeconds() - after_serial;
-
-    EXPECT_LT(wide_round, after_serial);
-    EXPECT_GT(emu.sequentialSeconds(), emu.emulatedSeconds());
-    EXPECT_EQ(emu.rounds(), 2u);
-}
-
-TEST(Multicore, SpeedupCappedByMemoryCeiling)
-{
-    MulticoreConfig cfg;
-    cfg.cores = 64;
-    cfg.memSpeedupCap = 2.0;
-    cfg.barrierSeconds = 0.0;
-    MulticoreEmulator emu(cfg);
-    emu.beginRound();
-    volatile double x = 0;
-    for (int i = 0; i < 200000; ++i)
-        x += i;
-    emu.endRound(1000);
-    // Even with 64 cores and 1000 tasks, the cap holds: emulated time
-    // is at least half the observed serial time.
-    EXPECT_GE(emu.emulatedSeconds() * 2.0 * 1.0001,
-              emu.sequentialSeconds());
-}
-
-TEST(Multicore, BarriersAccumulate)
-{
-    MulticoreConfig cfg;
-    cfg.barrierSeconds = 1e-3;
-    MulticoreEmulator emu(cfg);
-    for (int i = 0; i < 5; ++i) {
-        emu.beginRound();
-        emu.endRound(4);
-    }
-    EXPECT_GE(emu.emulatedSeconds(), 5e-3);
-}
-
-TEST(Multicore, AddSerialCountsFully)
-{
-    MulticoreEmulator emu;
-    emu.addSerial(0.25);
-    EXPECT_DOUBLE_EQ(emu.emulatedSeconds(), 0.25);
-    EXPECT_DOUBLE_EQ(emu.sequentialSeconds(), 0.25);
-}
-
-// -------------------------------------------------------------- XeonModel
 
 WorkCounts
 sampleWork()
@@ -151,6 +78,17 @@ TEST(XeonModel, BarriersChargedPerRound)
     w.instructions = 1;
     double t = xeonTime(w, p, 10);
     EXPECT_GE(t, 1000 * p.barrierSec);
+}
+
+TEST(XeonModel, EmptyWorkCostsOnlyBarriers)
+{
+    // One core runs sequentially, so it pays no barrier; ten cores pay
+    // one per round even when there is no work between them.
+    XeonParams p;
+    WorkCounts w;
+    w.rounds = 7;
+    EXPECT_DOUBLE_EQ(xeonTime(w, p, 1), 0.0);
+    EXPECT_DOUBLE_EQ(xeonTime(w, p, 10), 7 * p.barrierSec);
 }
 
 TEST(XeonModel, FlopsPricedSeparately)

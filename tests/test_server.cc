@@ -629,6 +629,35 @@ cacheLookups(const JsonValue &s)
 /** A miss long enough to be still running while a test looks on. */
 constexpr const char *kLongMiss = R"({"app":"SPEC-BFS","scale":1.0})";
 
+/**
+ * srv.serve() on its own thread. Leaving the scope drains the server
+ * and joins the thread unless join() already did, so a failed ASSERT
+ * that returns early is reported and the next test still runs.
+ */
+class Serving
+{
+  public:
+    explicit Serving(ApirdServer &srv)
+        : srv_(srv), thread_([&srv] { srv.serve(); })
+    {
+    }
+
+    ~Serving()
+    {
+        if (thread_.joinable()) {
+            srv_.requestDrain();
+            thread_.join();
+        }
+    }
+
+    /** Wait for serve() to return after a shutdown op or a drain. */
+    void join() { thread_.join(); }
+
+  private:
+    ApirdServer &srv_;
+    std::thread thread_;
+};
+
 } // namespace e2e
 
 TEST(ApirdServer, SocketRoundTripCachingAndDrain)
@@ -639,7 +668,7 @@ TEST(ApirdServer, SocketRoundTripCachingAndDrain)
     ApirdServer srv(opt);
     uint16_t port = srv.start();
     ASSERT_GT(port, 0);
-    std::thread serving([&] { srv.serve(); });
+    e2e::Serving serving(srv);
 
     int fd = e2e::connectTo(port);
     EXPECT_EQ(e2e::rpc(fd, R"({"op":"ping"})"),
@@ -687,7 +716,7 @@ TEST(ApirdServer, ConcurrentMixedPriorityClientsAllAnswered)
     opt.scenarioDir = APIR_SCENARIO_DIR;
     ApirdServer srv(opt);
     uint16_t port = srv.start();
-    std::thread serving([&] { srv.serve(); });
+    e2e::Serving serving(srv);
 
     // Two apps at one (scale, seed) across three priorities: the
     // result cache sees two keys, the workload cache sees one — so
@@ -731,7 +760,7 @@ TEST(ApirdServer, HitIsAnsweredWhileTheOnlyWorkerIsBusy)
     opt.scenarioDir = APIR_SCENARIO_DIR;
     ApirdServer srv(opt);
     uint16_t port = srv.start();
-    std::thread serving([&] { srv.serve(); });
+    e2e::Serving serving(srv);
 
     int a = e2e::connectTo(port);
     int b = e2e::connectTo(port);
@@ -756,8 +785,6 @@ TEST(ApirdServer, HitIsAnsweredWhileTheOnlyWorkerIsBusy)
     EXPECT_EQ(s.at("sims_ok").asNumber(), 3.0);
     ::close(a);
     ::close(b);
-    srv.requestDrain();
-    serving.join();
 }
 
 TEST(ApirdServer, DuplicateOfAnInFlightKeyHoldsNoWorker)
@@ -767,7 +794,7 @@ TEST(ApirdServer, DuplicateOfAnInFlightKeyHoldsNoWorker)
     opt.scenarioDir = APIR_SCENARIO_DIR;
     ApirdServer srv(opt);
     uint16_t port = srv.start();
-    std::thread serving([&] { srv.serve(); });
+    e2e::Serving serving(srv);
 
     int a = e2e::connectTo(port);
     int b = e2e::connectTo(port);
@@ -798,8 +825,6 @@ TEST(ApirdServer, DuplicateOfAnInFlightKeyHoldsNoWorker)
     ::close(a);
     ::close(b);
     ::close(probe);
-    srv.requestDrain();
-    serving.join();
 }
 
 TEST(ApirdServer, DispatchedRepeatOfAnInFlightKeyFreesItsWorker)
@@ -809,7 +834,7 @@ TEST(ApirdServer, DispatchedRepeatOfAnInFlightKeyFreesItsWorker)
     opt.scenarioDir = APIR_SCENARIO_DIR;
     ApirdServer srv(opt);
     uint16_t port = srv.start();
-    std::thread serving([&] { srv.serve(); });
+    e2e::Serving serving(srv);
 
     int x1 = e2e::connectTo(port);
     int x2 = e2e::connectTo(port);
@@ -861,8 +886,6 @@ TEST(ApirdServer, DispatchedRepeatOfAnInFlightKeyFreesItsWorker)
     EXPECT_EQ(e2e::cacheLookups(s), 5.0); // five cacheable sims
     for (int fd : {x1, x2, a, b, c, probe})
         ::close(fd);
-    srv.requestDrain();
-    serving.join();
 }
 
 TEST(ApirdServer, HighAdmittedWhileWorkersBusyBeatsEarlierLow)
@@ -872,7 +895,7 @@ TEST(ApirdServer, HighAdmittedWhileWorkersBusyBeatsEarlierLow)
     opt.scenarioDir = APIR_SCENARIO_DIR;
     ApirdServer srv(opt);
     uint16_t port = srv.start();
-    std::thread serving([&] { srv.serve(); });
+    e2e::Serving serving(srv);
 
     int shortBusy = e2e::connectTo(port);
     int longBusy = e2e::connectTo(port);
@@ -912,8 +935,6 @@ TEST(ApirdServer, HighAdmittedWhileWorkersBusyBeatsEarlierLow)
         EXPECT_EQ(e2e::recvLine(fd).rfind("{\"status\":\"ok\"", 0), 0u);
     for (int fd : {shortBusy, longBusy, low, high, probe})
         ::close(fd);
-    srv.requestDrain();
-    serving.join();
 }
 
 } // namespace
